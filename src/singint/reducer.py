@@ -28,6 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable
 
 from .integrand import D_AT_ZERO, IntegrandMonomial, IntegrandSum, mono
 from .ring import D0, ZERO, ValuePoly
@@ -53,11 +54,16 @@ class ReductionTrace:
     steps: tuple[TraceStep, ...]
 
     def replay(self, start: IntegrandSum) -> State:
-        """Walk the recorded chain from `start`, checking step contiguity."""
+        """Re-run every recorded rule from `start`; raise if a step differs."""
         state: State = (ZERO, start.normalize())
         for step in self.steps:
             if step.before != state:
                 raise RuleError(f"trace break at rule {step.rule!r}")
+            rule = RULES.get(step.rule)
+            if rule is None:
+                raise RuleError(f"unknown rule {step.rule!r} in trace")
+            if rule(step.before) != step.after:
+                raise RuleError(f"rule {step.rule!r} does not re-derive its recorded step")
             state = step.after
         return state
 
@@ -160,6 +166,61 @@ def base_integral(m: int) -> ValuePoly:
     return ValuePoly.monomial(Fraction(2, m * 2 ** m), w=-(m + 1))
 
 
+# The rules as named state transforms, in pipeline order: `reduce` applies
+# them and `ReductionTrace.replay` re-runs them to check a recorded trace.
+
+def _field_equation(state: State) -> State:
+    value, pending = state
+    return value, substitute_field_equation(pending)
+
+
+def _delta_squared(state: State) -> State:
+    value, pending = state
+    got, rest = eval_dirac_squared(pending)
+    return value + got, rest
+
+
+def _delta(state: State) -> State:
+    value, pending = state
+    got, rest = eval_dirac(pending)
+    return value + got, rest
+
+
+def _parity(state: State) -> State:
+    value, pending = state
+    return value, drop_odd_orientation(pending)
+
+
+def _ibp(state: State) -> State:
+    """One sweep: every term with dD^2 or more takes one ibp move."""
+    value, pending = state
+    rewritten: list[IntegrandMonomial] = []
+    for t in pending:
+        if t.n >= 2:
+            rewritten.extend(ibp_step(t))
+        else:
+            rewritten.append(t)
+    return value, IntegrandSum(rewritten)
+
+
+def _base(state: State) -> State:
+    value, pending = state
+    got = ZERO
+    for t in pending:
+        got = got + t.coeff * base_integral(t.m)
+    return value + got, IntegrandSum()
+
+
+RULES: dict[str, Callable[[State], State]] = {
+    "field_equation": _field_equation,
+    "delta_squared": _delta_squared,
+    "delta": _delta,
+    "parity": _parity,
+    "ibp": _ibp,
+    "base": _base,
+}
+
+
 def reduce(s: IntegrandSum) -> tuple[ValuePoly, ReductionTrace]:
     """Reduce an integrand sum to its exact ring value.
 
@@ -176,36 +237,22 @@ def reduce(s: IntegrandSum) -> tuple[ValuePoly, ReductionTrace]:
             raise RuleError(f"no rule for delta^{t.q}")
 
     steps: list[TraceStep] = []
-    value = ZERO
+    state: State = (ZERO, pending)
 
-    def advance(rule: str, new_value: ValuePoly, new_pending: IntegrandSum) -> None:
-        nonlocal value, pending
+    def advance(rule: str) -> None:
+        nonlocal state
+        new_value, new_pending = RULES[rule](state)
         new_pending = new_pending.normalize()
-        if new_value != value or new_pending != pending:
-            steps.append(TraceStep(rule, (value, pending), (new_value, new_pending)))
-            value, pending = new_value, new_pending
+        if new_value != state[0] or new_pending != state[1]:
+            after = (new_value, new_pending)
+            steps.append(TraceStep(rule, state, after))
+            state = after
 
-    advance("field_equation", value, substitute_field_equation(pending))
-    got, rest = eval_dirac_squared(pending)
-    advance("delta_squared", value + got, rest)
-    got, rest = eval_dirac(pending)
-    advance("delta", value + got, rest)
-    advance("parity", value, drop_odd_orientation(pending))
+    for rule in ("field_equation", "delta_squared", "delta", "parity"):
+        advance(rule)
+    while any(t.n for t in state[1]):
+        advance("ibp")
+        advance("delta")
+    advance("base")
 
-    while any(t.n for t in pending):
-        rewritten: list[IntegrandMonomial] = []
-        for t in pending:
-            if t.n >= 2:
-                rewritten.extend(ibp_step(t))
-            else:
-                rewritten.append(t)
-        advance("ibp", value, IntegrandSum(rewritten))
-        got, rest = eval_dirac(pending)
-        advance("delta", value + got, rest)
-
-    got = ZERO
-    for t in pending:
-        got = got + t.coeff * base_integral(t.m)
-    advance("base", value + got, IntegrandSum())
-
-    return value, ReductionTrace(tuple(steps))
+    return state[0], ReductionTrace(tuple(steps))

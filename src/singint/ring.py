@@ -29,7 +29,7 @@ _SYMBOL_INDEX = {name: i for i, name in enumerate(_SYMBOLS)}
 def _as_fraction(value: RationalLike) -> Fraction:
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, int):
+    if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
     raise TypeError(f"expected an exact rational, got {type(value).__name__}")
 
@@ -122,6 +122,11 @@ class ValuePoly:
         return self._terms == other._terms
 
     def __hash__(self) -> int:
+        # constants hash like the equal Fraction, so `rational(3)` and 3 share a key
+        if not self._terms:
+            return hash(0)
+        if len(self._terms) == 1 and (0, 0, 0, 0) in self._terms:
+            return hash(self._terms[(0, 0, 0, 0)])
         return hash(frozenset(self._terms.items()))
 
     # -- queries -----------------------------------------------------------

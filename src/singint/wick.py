@@ -26,7 +26,10 @@ flagged rather than suppressed.  Cross-pair line values:
     q(t)  q.(0)  ->  -dD
     q.(t) q.(0)  ->  -ddD
 
-Same-vertex pairs fold to D(0), dD(0) = 0, or -ddD(0) ring values.
+Same-vertex pairs fold to D(0), dD(0) = 0, or -ddD(0) ring values.  The
+ring is commutative, so a matching's equal-time factor depends only on the
+counts of its self-pair kinds (qq, qdot q, qdot qdot): each call builds that
+product, and each distinct line, once and shares it between matchings.
 """
 
 from __future__ import annotations
@@ -117,6 +120,7 @@ _SELF_VALUES = {
     (QDOT, QDOT): -DDDOT_AT_ZERO,
 }
 _SELF_KIND = {(Q, Q): "qq", (QDOT, Q): "qdot q", (QDOT, QDOT): "qdot qdot"}
+_SELF_INDEX = {kinds: i for i, kinds in enumerate(_SELF_VALUES)}
 
 
 def enumerate_contractions(v1: Vertex, v2: Vertex | None = None) -> list[Contraction]:
@@ -128,40 +132,64 @@ def enumerate_contractions(v1: Vertex, v2: Vertex | None = None) -> list[Contrac
         raise ValueError("odd leg total admits no perfect matching")
 
     labels = (v1.label, v2.label if v2 is not None else v1.label)
-    out: list[Contraction] = []
-    for matching in perfect_matchings(tuple(legs)):
-        local = ONE
-        sign = 1
-        m = n = p = 0
-        cross = 0
-        selfs: list[tuple[str, str]] = []
-        for (va, _, ka), (vb, _, kb) in matching:
+    # what each pair of legs contributes, keyed as perfect_matchings pairs
+    # them: (True, self-pair kind index, self pair) for a same-vertex pair,
+    # (False, line factor index into m/n/p, sign flip) for a cross pair
+    effect: dict[tuple[Leg, Leg], tuple] = {}
+    for i, a in enumerate(legs):
+        for b in legs[i + 1:]:
+            (va, _, ka), (vb, _, kb) = a, b
             kinds = (ka, kb) if (ka, kb) in _SELF_VALUES else (kb, ka)
             if va == vb:
-                local = local * _SELF_VALUES[kinds]
-                selfs.append((labels[va], _SELF_KIND[kinds]))
+                effect[a, b] = (True, _SELF_INDEX[kinds], (labels[va], _SELF_KIND[kinds]))
+            elif kinds == (Q, Q):
+                effect[a, b] = (False, 0, False)
+            elif kinds == (QDOT, QDOT):
+                effect[a, b] = (False, 2, True)
             else:
-                cross += 1
-                if kinds == (Q, Q):
-                    m += 1
-                elif kinds == (QDOT, QDOT):
-                    p += 1
+                # dotted leg on the pinned vertex flips the line
+                effect[a, b] = (False, 1, (va if ka == QDOT else vb) == 1)
+
+    # equal-time factors by self-pair kind counts, lines by (m, n, p, sign);
+    # built once per call and shared by the contractions that need them
+    locals_: dict[tuple[int, ...], ValuePoly] = {}
+    lines: dict[tuple[int, int, int, int], IntegrandSum] = {}
+    no_line = IntegrandSum()
+    out: list[Contraction] = []
+    for matching in perfect_matchings(tuple(legs)):
+        counts = [0, 0, 0]
+        line = [0, 0, 0]
+        sign = 1
+        selfs: list[tuple[str, str]] = []
+        for pair in matching:
+            is_self, index, extra = effect[pair]
+            if is_self:
+                counts[index] += 1
+                selfs.append(extra)
+            else:
+                line[index] += 1
+                if extra:
                     sign = -sign
-                else:
-                    n += 1
-                    # dotted leg on the pinned vertex flips the line
-                    dotted_slot = va if ka == QDOT else vb
-                    if dotted_slot == 1:
-                        sign = -sign
+        key = tuple(counts)
+        local = locals_.get(key)
+        if local is None:
+            local = ONE
+            for value, count in zip(_SELF_VALUES.values(), key):
+                local = local * value ** count
+            locals_[key] = local
+        m, n, p = line
+        cross = m + n + p
         if cross:
-            integrand = IntegrandSum([mono(m, n, p, 0, Fraction(sign))])
+            line_key = (m, n, p, sign)
+            integrand = lines.get(line_key)
+            if integrand is None:
+                integrand = lines[line_key] = IntegrandSum([mono(m, n, p, 0, Fraction(sign))])
         else:
-            integrand = IntegrandSum()
-        connected = True if v2 is None else cross > 0
-        out.append(Contraction(pairing=matching, connected=connected,
+            integrand = no_line
+        selfs.sort()
+        out.append(Contraction(pairing=matching, connected=v2 is None or cross > 0,
                                integrand=integrand, local_factor=local,
-                               self_pairs=tuple(sorted(selfs)),
-                               orientation_sign=sign))
+                               self_pairs=tuple(selfs), orientation_sign=sign))
     return out
 
 
@@ -206,20 +234,23 @@ def _family(v1: Vertex, v2: Vertex | None, c: Contraction) -> str:
 
 def _classify(groups: dict, prefactor: ValuePoly,
               v1: Vertex, v2: Vertex | None) -> None:
-    pair_coupling = v1.coupling * (v2.coupling if v2 is not None else ONE)
+    weight = prefactor * v1.coupling * (v2.coupling if v2 is not None else ONE)
     vertices = tuple(sorted([v1.label] + ([v2.label] if v2 is not None else [])))
+    counts: dict = {}
     for c in enumerate_contractions(v1, v2):
         if not c.connected:
             continue
         shape = c.integrand.terms[0].shape if c.integrand.terms else (0, 0, 0, 0)
         key = (vertices, c.self_pairs, shape, c.orientation_sign)
-        entry = groups.get(key)
-        if entry is None:
-            groups[key] = [1, prefactor * pair_coupling, c.local_factor,
-                           _family(v1, v2, c)]
-        else:
-            entry[0] += 1
-            entry[1] = entry[1] + prefactor * pair_coupling
+        if key not in counts:
+            counts[key] = 0
+            groups.setdefault(key, [0, ZERO, c.local_factor, _family(v1, v2, c)])
+        counts[key] += 1
+    # every matching of a class carries the same weight
+    for key, count in counts.items():
+        entry = groups[key]
+        entry[0] += count
+        entry[1] = entry[1] + weight * count
 
 
 def diagram_classes(order: int) -> list[DiagramClass]:

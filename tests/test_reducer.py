@@ -6,10 +6,10 @@ import pytest
 from hypothesis import given, settings
 
 from conftest import rationals, reducible_sums
-from singint import (D0, ZERO, D_AT_ZERO, IntegrandSum, RuleError, ValuePoly,
-                     base_integral, eval_dirac, eval_dirac_squared, ibp_step,
-                     integrand_sum, mono, reduce, substitute_field_equation,
-                     wpow)
+from singint import (D0, ZERO, D_AT_ZERO, IntegrandSum, ReductionTrace,
+                     RuleError, TraceStep, ValuePoly, base_integral,
+                     eval_dirac, eval_dirac_squared, ibp_step, integrand_sum,
+                     mono, reduce, substitute_field_equation, wpow)
 
 
 def value_of(*terms):
@@ -157,6 +157,28 @@ def test_trace_detects_tampering():
     _, trace = reduce(s)
     with pytest.raises(RuleError, match="trace break"):
         trace.replay(integrand_sum(mono(0, 2, 0, 0), mono(1, 0, 0, 0)))
+
+
+def test_replay_rejects_a_forged_step():
+    s = integrand_sum(mono(0, 4, 0, 0))
+    val, trace = reduce(s)
+    last = trace.steps[-1]
+    forged_after = (last.after[0] + 1, last.after[1])
+    forged = ReductionTrace(trace.steps[:-1] + (TraceStep(last.rule, last.before, forged_after),))
+    assert trace.replay(s) == (val, IntegrandSum())
+    with pytest.raises(RuleError, match="does not re-derive"):
+        forged.replay(s)
+
+
+def test_replay_rejects_a_renamed_step():
+    s = integrand_sum(mono(0, 4, 0, 0))
+    _, trace = reduce(s)
+    first = trace.steps[0]
+    for name in ("parity", "no_such_rule"):
+        renamed = ReductionTrace((TraceStep(name, first.before, first.after),)
+                                 + trace.steps[1:])
+        with pytest.raises(RuleError):
+            renamed.replay(s)
 
 
 def test_rule_names_are_stable():

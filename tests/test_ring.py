@@ -31,6 +31,26 @@ def test_w_may_carry_any_integer_exponent():
     assert ValuePoly.monomial(1, w=-3).degree_in("w") == -3
 
 
+def test_constant_polys_hash_like_their_rationals():
+    assert hash(ValuePoly.rational(3)) == hash(3)
+    assert hash(ValuePoly.rational(half)) == hash(half)
+    assert hash(ZERO) == hash(0) == hash(Fraction(0))
+    assert len({ValuePoly.rational(3), 3}) == 1
+    assert len({ZERO, 0, Fraction(0)}) == 1
+    assert {ValuePoly.rational(half): "x"}[half] == "x"
+    assert hash(ValuePoly.monomial(3, w=1)) == hash(ValuePoly.monomial(3, w=1))
+
+
+def test_bool_coefficients_rejected():
+    for bad in (True, False):
+        with pytest.raises(TypeError):
+            ValuePoly.rational(bad)
+        with pytest.raises(TypeError):
+            ValuePoly.monomial(bad, w=1)
+        with pytest.raises(TypeError):
+            ValuePoly({(0, 0, 0, 0): bad})
+
+
 def test_float_coefficients_rejected():
     with pytest.raises(TypeError):
         ValuePoly.rational(0.5)

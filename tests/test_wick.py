@@ -9,9 +9,9 @@ from hypothesis import strategies as st
 
 from singint import (A, D0, G, ONE, W, ZERO, D_AT_ZERO, DDDOT_AT_ZERO,
                      IntegrandSum, ValuePoly, Vertex, action_vertices,
-                     diagram_classes, enumerate_contractions,
+                     diagram_classes, enumerate_contractions, mono,
                      order_contribution, perfect_matchings, reduce)
-from singint.wick import Q, QDOT
+from singint.wick import _SELF_VALUES, Q, QDOT
 
 
 def double_factorial_odd(k: int) -> int:
@@ -114,6 +114,70 @@ def test_odd_leg_total_rejected():
         enumerate_contractions(bad)
     with pytest.raises(ValueError):
         enumerate_contractions(bad, Vertex("pair", (Q, Q), ONE, jacobian=False))
+
+
+def _direct_contraction(v1, v2, matching):
+    """(local factor, line sum, self pairs, sign) recomputed pair by pair."""
+    labels = (v1.label, v2.label if v2 is not None else v1.label)
+    names = {(Q, Q): "qq", (QDOT, Q): "qdot q", (QDOT, QDOT): "qdot qdot"}
+    local = ONE
+    selfs = []
+    shape = [0, 0, 0]
+    sign = 1
+    for (va, _, ka), (vb, _, kb) in matching:
+        kinds = tuple(sorted((ka, kb), reverse=True))   # qdot before q
+        if va == vb:
+            local = local * _SELF_VALUES[kinds]
+            selfs.append((labels[va], names[kinds]))
+            continue
+        # slot 0 is the free time t, slot 1 is pinned at 0
+        pinned_kind = kb if va == 0 else ka
+        if kinds == (Q, Q):
+            shape[0] += 1
+        elif kinds == (QDOT, QDOT):
+            shape[2] += 1
+            sign = -sign
+        else:
+            shape[1] += 1
+            if pinned_kind == QDOT:
+                sign = -sign
+    line = IntegrandSum([mono(*shape, 0, coeff=sign)]) if any(shape) else IntegrandSum()
+    return local, line, tuple(sorted(selfs)), sign
+
+
+def _checked_pairs():
+    vertices = action_vertices(1) + action_vertices(2)
+    v = {x.label: x for x in vertices}
+    pairs = [(x, None) for x in vertices]
+    pairs += [(x, y) for x in vertices for y in vertices
+              if len(x.legs) + len(y.legs) <= 10]
+    return pairs + [(v["qd2q4"], v["q6"])]
+
+
+def test_contractions_match_direct_recomputation():
+    for v1, v2 in _checked_pairs():
+        cons = enumerate_contractions(v1, v2)
+        legs = len(v1.legs) + (len(v2.legs) if v2 is not None else 0)
+        assert len(cons) == double_factorial_odd(legs // 2)
+        for c in cons:
+            local, line, selfs, sign = _direct_contraction(v1, v2, c.pairing)
+            assert c.local_factor == local
+            assert c.integrand.terms == line.terms
+            assert c.self_pairs == selfs
+            assert c.orientation_sign == sign
+            assert c.connected == (v2 is None or bool(line.terms))
+
+
+def test_class_coefficients_are_multiplicity_times_prefactor_times_couplings():
+    coupling = {v.label: v.coupling for v in action_vertices(1) + action_vertices(2)}
+    for order in (1, 2):
+        for c in diagram_classes(order):
+            if len(c.vertices) == 1:
+                expected = coupling[c.vertices[0]]
+            else:
+                first, second = c.vertices
+                expected = Fraction(-1, 2) * coupling[first] * coupling[second]
+            assert c.coefficient == expected * c.multiplicity
 
 
 def test_order_1_class_table():
