@@ -105,11 +105,14 @@ class IntegrandSum:
         self.terms: tuple[IntegrandMonomial, ...] = tuple(terms)
 
     def normalize(self) -> "IntegrandSum":
-        acc: dict[Shape, ValuePoly] = {}
+        # a shape seen once keeps its monomial; only a repeat pays a ring add
+        acc: dict[Shape, IntegrandMonomial] = {}
         for term in self.terms:
-            acc[term.shape] = acc.get(term.shape, ZERO) + term.coeff
-        kept = [IntegrandMonomial(*shape, coeff)
-                for shape, coeff in sorted(acc.items()) if not coeff.is_zero]
+            shape = term.shape
+            first = acc.get(shape)
+            acc[shape] = term if first is None else IntegrandMonomial(
+                *shape, first.coeff + term.coeff)
+        kept = [acc[shape] for shape in sorted(acc) if not acc[shape].coeff.is_zero]
         return IntegrandSum(kept)
 
     @property

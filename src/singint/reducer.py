@@ -243,7 +243,8 @@ def reduce(s: IntegrandSum) -> tuple[ValuePoly, ReductionTrace]:
         nonlocal state
         new_value, new_pending = RULES[rule](state)
         new_pending = new_pending.normalize()
-        if new_value != state[0] or new_pending != state[1]:
+        # both sums are normalized, so their terms compare directly
+        if new_value != state[0] or new_pending.terms != state[1].terms:
             after = (new_value, new_pending)
             steps.append(TraceStep(rule, state, after))
             state = after

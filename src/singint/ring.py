@@ -10,6 +10,10 @@ rationals in four commuting symbols:
 
 Every closed-form value the engine produces lives in this ring.  No floats
 enter; substitution is the only way to leave it.
+
+The public constructor validates its input.  Ring operations work on
+canonical operands, so they build their results without re-validating
+them: they only drop the coefficients that cancelled.
 """
 
 from __future__ import annotations
@@ -76,13 +80,16 @@ class ValuePoly:
         other = _coerce(other)
         merged = dict(self._terms)
         for exps, coef in other._terms.items():
-            merged[exps] = merged.get(exps, Fraction(0)) + coef
-        return ValuePoly(merged)
+            if exps in merged:
+                merged[exps] += coef
+            else:
+                merged[exps] = coef
+        return _canonical(merged)
 
     __radd__ = __add__
 
     def __neg__(self) -> "ValuePoly":
-        return ValuePoly({e: -c for e, c in self._terms.items()})
+        return _canonical({e: -c for e, c in self._terms.items()})
 
     def __sub__(self, other: "ValuePoly | RationalLike") -> "ValuePoly":
         return self + (-_coerce(other))
@@ -96,8 +103,11 @@ class ValuePoly:
         for e1, c1 in self._terms.items():
             for e2, c2 in other._terms.items():
                 exps = (e1[0] + e2[0], e1[1] + e2[1], e1[2] + e2[2], e1[3] + e2[3])
-                out[exps] = out.get(exps, Fraction(0)) + c1 * c2
-        return ValuePoly(out)
+                if exps in out:
+                    out[exps] += c1 * c2
+                else:
+                    out[exps] = c1 * c2
+        return _canonical(out)
 
     __rmul__ = __mul__
 
@@ -200,6 +210,13 @@ class ValuePoly:
 
     def __repr__(self) -> str:
         return f"ValuePoly({self.render()!r})"
+
+
+def _canonical(terms: dict[Exponents, Fraction]) -> ValuePoly:
+    """Wrap terms built from canonical operands, dropping cancelled coefficients."""
+    poly = object.__new__(ValuePoly)
+    poly._terms = {e: c for e, c in terms.items() if c}
+    return poly
 
 
 def _coerce(value: "ValuePoly | RationalLike") -> ValuePoly:

@@ -18,8 +18,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import exp
 
-from scipy.integrate import quad
-
 from .integrand import D_AT_ZERO, IntegrandSum, integrand_sum, mono
 from .reducer import ReductionTrace, reduce
 from .ring import D0, G, W, ZERO, RationalLike, ValuePoly
@@ -187,6 +185,9 @@ def quadrature_oracle(m: int, n: int, omega: float) -> float:
         raise ValueError("need at least one decaying factor")
     if omega <= 0:
         raise ValueError("omega must be positive")
+    # scipy ships with the `test` extra; importing it here keeps `import singint` light
+    from scipy.integrate import quad
+
     # for t > 0:  D^m dD^n = (2 omega)^-m (1/4)^(n/2) exp(-(m+n) omega t)
     scale = (2.0 * omega) ** -m * 0.25 ** (n // 2)
     rate = (m + n) * omega

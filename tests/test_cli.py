@@ -2,7 +2,11 @@
 
 import argparse
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -199,3 +203,13 @@ def test_report_marks_failures_and_exit_1(capsys):
     assert code == 1
     assert "PASS  fine" in out
     assert "FAIL  made-up  ->  expected 0, got 1" in out
+
+
+def test_cli_import_does_not_load_scipy():
+    # scipy belongs to the quadrature oracle alone, so the CLI starts without it
+    code = ("import singint.cli, sys; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, check=True)
+    assert done.stdout.strip() == "[]"

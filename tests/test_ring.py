@@ -181,3 +181,24 @@ def test_substitution_is_a_ring_morphism(x, wv, d0v, av):
     fy = y.substitute(bindings)
     assert (x + y).substitute(bindings) == fx + fy
     assert (x * y).substitute(bindings) == fx * fy
+
+
+def _assert_canonical(p):
+    for (kw, kd0, ka, kg), coef in p.items():
+        assert type(coef) is Fraction and coef != 0
+        assert type(kw) is int and kd0 >= 0 and ka >= 0 and kg >= 0
+    rebuilt = ValuePoly(dict(p.items()))
+    assert rebuilt == p
+    assert hash(rebuilt) == hash(p)
+
+
+@given(value_polys(), value_polys(), st.integers(min_value=-3, max_value=3),
+       st.integers(min_value=0, max_value=3))
+@settings(max_examples=300, deadline=None)
+def test_operation_results_are_canonical(x, y, k, e):
+    # operations build results without the constructor's checks; they must
+    # come out exactly as the validating constructor would build them
+    results = [x + y, x + k, k + x, x - y, x - k, k - x, x - x, -x,
+               x * y, x * k, k * x, x ** e, (x + y) ** e]
+    for r in results:
+        _assert_canonical(r)
