@@ -134,6 +134,9 @@ def drop_odd_orientation(s: IntegrandSum) -> IntegrandSum:
     return IntegrandSum(kept).normalize()
 
 
+_W_SQUARED = ValuePoly.monomial(1, w=2)
+
+
 def ibp_step(t: IntegrandMonomial) -> IntegrandSum:
     """One integration-by-parts move on a dD^n D^m term, n even and >= 2.
 
@@ -154,8 +157,7 @@ def ibp_step(t: IntegrandMonomial) -> IntegrandSum:
     out = []
     if t.n == 2:
         out.append(mono(t.m + 1, 0, 0, 1, t.coeff * ratio))
-    out.append(mono(t.m + 2, t.n - 2, 0, 0,
-                    t.coeff * (-ratio) * ValuePoly.monomial(1, w=2)))
+    out.append(mono(t.m + 2, t.n - 2, 0, 0, t.coeff * (-ratio) * _W_SQUARED))
     return IntegrandSum(out).normalize()
 
 
@@ -200,7 +202,7 @@ def _ibp(state: State) -> State:
             rewritten.extend(ibp_step(t))
         else:
             rewritten.append(t)
-    return value, IntegrandSum(rewritten)
+    return value, IntegrandSum(rewritten).normalize()
 
 
 def _base(state: State) -> State:
@@ -241,9 +243,8 @@ def reduce(s: IntegrandSum) -> tuple[ValuePoly, ReductionTrace]:
 
     def advance(rule: str) -> None:
         nonlocal state
+        # every rule returns a normalized sum, so the terms compare directly
         new_value, new_pending = RULES[rule](state)
-        new_pending = new_pending.normalize()
-        # both sums are normalized, so their terms compare directly
         if new_value != state[0] or new_pending.terms != state[1].terms:
             after = (new_value, new_pending)
             steps.append(TraceStep(rule, state, after))

@@ -26,17 +26,21 @@ flagged rather than suppressed.  Cross-pair line values:
     q(t)  q.(0)  ->  -dD
     q.(t) q.(0)  ->  -ddD
 
-Same-vertex pairs fold to D(0), dD(0) = 0, or -ddD(0) ring values.  The
-ring is commutative, so a matching's equal-time factor depends only on the
-counts of its self-pair kinds (qq, qdot q, qdot qdot): each call builds that
-product, and each distinct line, once and shares it between matchings.
+Same-vertex pairs fold to D(0), dD(0) = 0, or -ddD(0) ring values.  Each
+pair of legs adds one to a field of a packed integer counter: its self-pair
+kind on its vertex, its line kind (D, dD, ddD), and its sign flip.  The
+recursion sums these pair effects along the path to each matching, and each
+call builds the fields of each distinct counter once and shares them between
+the matchings that reach it.  The ring is commutative, so the equal-time
+factor depends only on the counts of the self-pair kinds (qq, qdot q,
+qdot qdot), and each call builds it once per distinct count.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 from .integrand import (D_AT_ZERO, DDDOT_AT_ZERO, DDOT_AT_ZERO,
                         IntegrandMonomial, IntegrandSum, mono)
@@ -104,8 +108,7 @@ def perfect_matchings(items: Sequence[Leg]) -> Iterator[tuple[tuple[Leg, Leg], .
             yield ((first, partner),) + tail
 
 
-@dataclass(frozen=True)
-class Contraction:
+class Contraction(NamedTuple):
     pairing: tuple[tuple[Leg, Leg], ...]
     connected: bool
     integrand: IntegrandSum          # empty when the contraction is fully local
@@ -122,6 +125,34 @@ _SELF_VALUES = {
 _SELF_KIND = {(Q, Q): "qq", (QDOT, Q): "qdot q", (QDOT, QDOT): "qdot qdot"}
 _SELF_INDEX = {kinds: i for i, kinds in enumerate(_SELF_VALUES)}
 
+# Fields of a matching's packed counter, lowest first: self pairs by
+# (vertex slot, kind index), then the cross lines m, n, p, then sign flips.
+_KINDS = len(_SELF_VALUES)
+_LINE_FIELD = 2 * _KINDS
+_FLIP_FIELD = _LINE_FIELD + 3
+_FIELDS = _FLIP_FIELD + 1
+
+
+def _extend(rest: tuple[int, ...], pairing: tuple, acc: int,
+            table: list[list], leaf: Callable[[tuple, int], None]) -> None:
+    """Pass every completion of `pairing` over the leg indices `rest` to `leaf`.
+
+    Completions come in `perfect_matchings` order, each with `acc` plus the
+    deltas of the pairs it adds.  `rest` is ascending, so `table[i][j]`
+    holds the (pair, delta) of legs i < j.
+    """
+    row = table[rest[0]]
+    for i in range(1, len(rest)):
+        pair, delta = row[rest[i]]
+        remaining = rest[1:i] + rest[i + 1:]
+        if len(remaining) == 2:
+            last, last_delta = table[remaining[0]][remaining[1]]
+            leaf(pairing + (pair, last), acc + delta + last_delta)
+        elif remaining:
+            _extend(remaining, pairing + (pair,), acc + delta, table, leaf)
+        else:
+            leaf(pairing + (pair,), acc + delta)
+
 
 def enumerate_contractions(v1: Vertex, v2: Vertex | None = None) -> list[Contraction]:
     """Every perfect matching of the legs of one vertex or of a pinned pair."""
@@ -132,64 +163,62 @@ def enumerate_contractions(v1: Vertex, v2: Vertex | None = None) -> list[Contrac
         raise ValueError("odd leg total admits no perfect matching")
 
     labels = (v1.label, v2.label if v2 is not None else v1.label)
-    # what each pair of legs contributes, keyed as perfect_matchings pairs
-    # them: (True, self-pair kind index, self pair) for a same-vertex pair,
-    # (False, line factor index into m/n/p, sign flip) for a cross pair
-    effect: dict[tuple[Leg, Leg], tuple] = {}
+    # every field counts at most one per pair, so `bits` bits never overflow
+    bits = (len(legs) // 2).bit_length()
+    mask = (1 << bits) - 1
+    table: list[list] = [[None] * len(legs) for _ in legs]
     for i, a in enumerate(legs):
-        for b in legs[i + 1:]:
+        for j in range(i + 1, len(legs)):
+            b = legs[j]
             (va, _, ka), (vb, _, kb) = a, b
             kinds = (ka, kb) if (ka, kb) in _SELF_VALUES else (kb, ka)
             if va == vb:
-                effect[a, b] = (True, _SELF_INDEX[kinds], (labels[va], _SELF_KIND[kinds]))
+                field, flip = _KINDS * va + _SELF_INDEX[kinds], False
             elif kinds == (Q, Q):
-                effect[a, b] = (False, 0, False)
+                field, flip = _LINE_FIELD, False
             elif kinds == (QDOT, QDOT):
-                effect[a, b] = (False, 2, True)
+                field, flip = _LINE_FIELD + 2, True
             else:
                 # dotted leg on the pinned vertex flips the line
-                effect[a, b] = (False, 1, (va if ka == QDOT else vb) == 1)
+                field, flip = _LINE_FIELD + 1, (va if ka == QDOT else vb) == 1
+            table[i][j] = ((a, b), (1 << bits * field) + (flip << bits * _FLIP_FIELD))
 
-    # equal-time factors by self-pair kind counts, lines by (m, n, p, sign);
-    # built once per call and shared by the contractions that need them
+    # the fields of each distinct counter, and the equal-time factor of each
+    # distinct self-pair kind count, built once per call
+    fields: dict[int, tuple] = {}
     locals_: dict[tuple[int, ...], ValuePoly] = {}
-    lines: dict[tuple[int, int, int, int], IntegrandSum] = {}
-    no_line = IntegrandSum()
     out: list[Contraction] = []
-    for matching in perfect_matchings(tuple(legs)):
-        counts = [0, 0, 0]
-        line = [0, 0, 0]
-        sign = 1
-        selfs: list[tuple[str, str]] = []
-        for pair in matching:
-            is_self, index, extra = effect[pair]
-            if is_self:
-                counts[index] += 1
-                selfs.append(extra)
-            else:
-                line[index] += 1
-                if extra:
-                    sign = -sign
-        key = tuple(counts)
-        local = locals_.get(key)
+    new = tuple.__new__  # skips the Python frame of Contraction.__new__
+
+    def derive(key: int) -> tuple:
+        count = [key >> bits * f & mask for f in range(_FIELDS)]
+        kinds = tuple(count[k] + count[_KINDS + k] for k in range(_KINDS))
+        local = locals_.get(kinds)
         if local is None:
             local = ONE
-            for value, count in zip(_SELF_VALUES.values(), key):
-                local = local * value ** count
-            locals_[key] = local
-        m, n, p = line
+            for value, power in zip(_SELF_VALUES.values(), kinds):
+                local = local * value ** power
+            locals_[kinds] = local
+        selfs = sorted((labels[slot], _SELF_KIND[kind])
+                       for slot in (0, 1) for k, kind in enumerate(_SELF_VALUES)
+                       for _ in range(count[_KINDS * slot + k]))
+        m, n, p = count[_LINE_FIELD:_FLIP_FIELD]
+        sign = -1 if count[_FLIP_FIELD] & 1 else 1
         cross = m + n + p
-        if cross:
-            line_key = (m, n, p, sign)
-            integrand = lines.get(line_key)
-            if integrand is None:
-                integrand = lines[line_key] = IntegrandSum([mono(m, n, p, 0, Fraction(sign))])
-        else:
-            integrand = no_line
-        selfs.sort()
-        out.append(Contraction(pairing=matching, connected=v2 is None or cross > 0,
-                               integrand=integrand, local_factor=local,
-                               self_pairs=tuple(selfs), orientation_sign=sign))
+        integrand = IntegrandSum([mono(m, n, p, 0, Fraction(sign))]) if cross else IntegrandSum()
+        return (v2 is None or cross > 0, integrand, local, tuple(selfs), sign)
+
+    def leaf(pairing: tuple, key: int) -> None:
+        got = fields.get(key)
+        if got is None:
+            got = fields[key] = derive(key)
+        connected, integrand, local, selfs, sign = got
+        out.append(new(Contraction, (pairing, connected, integrand, local, selfs, sign)))
+
+    if legs:
+        _extend(tuple(range(len(legs))), (), 0, table, leaf)
+    else:
+        leaf((), 0)
     return out
 
 

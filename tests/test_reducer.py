@@ -5,11 +5,12 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 
-from conftest import rationals, reducible_sums
+from conftest import integrand_sums, rationals, reducible_sums
 from singint import (D0, ZERO, D_AT_ZERO, IntegrandSum, ReductionTrace,
                      RuleError, TraceStep, ValuePoly, base_integral,
                      eval_dirac, eval_dirac_squared, ibp_step, integrand_sum,
                      mono, reduce, substitute_field_equation, wpow)
+from singint.reducer import RULES
 
 
 def value_of(*terms):
@@ -185,6 +186,33 @@ def test_rule_names_are_stable():
     _, trace = reduce(integrand_sum(mono(2, 0, 2, 0)))
     assert set(st.rule for st in trace.steps) <= {
         "field_equation", "delta_squared", "delta", "parity", "ibp", "base"}
+
+
+def _assert_rules_return_normalized(state):
+    for name, rule in RULES.items():
+        try:
+            _, pending = rule(state)
+        except RuleError:
+            continue
+        assert pending.terms == pending.normalize().terms, name
+
+
+@pytest.mark.parametrize("s", [
+    integrand_sum(mono(0, 4, 0, 0)),
+    integrand_sum(mono(2, 0, 2, 0), mono(0, 2, 0, 0)),
+    integrand_sum(mono(3, 40, 0, 0)),
+])
+def test_rules_return_normalized_sums_along_a_reduction(s):
+    _, trace = reduce(s)
+    for step in trace.steps:
+        _assert_rules_return_normalized(step.before)
+        _assert_rules_return_normalized(step.after)
+
+
+@given(integrand_sums())
+@settings(max_examples=200, deadline=None)
+def test_rules_return_normalized_sums(s):
+    _assert_rules_return_normalized((ZERO, s))
 
 
 @given(reducible_sums(), reducible_sums())

@@ -1,5 +1,6 @@
 """Contraction generator: vertices, matchings, class tables, family sums."""
 
+import gc
 from fractions import Fraction
 from math import prod
 
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 from singint import (A, D0, G, ONE, W, ZERO, D_AT_ZERO, DDDOT_AT_ZERO,
                      IntegrandSum, ValuePoly, Vertex, action_vertices,
                      diagram_classes, enumerate_contractions, mono,
-                     order_contribution, perfect_matchings, reduce)
+                     order_check, order_contribution, perfect_matchings, reduce)
 from singint.wick import _SELF_VALUES, Q, QDOT
 
 
@@ -108,6 +109,21 @@ def test_cross_line_orientation_signs():
             assert c.orientation_sign == 1
 
 
+def test_contractions_are_immutable_values():
+    v = {x.label: x for x in action_vertices(1)}
+    first = enumerate_contractions(v["qd2q2"], v["q4"])
+    again = enumerate_contractions(v["qd2q2"], v["q4"])
+    assert first == again
+    assert [hash(c) for c in first] == [hash(c) for c in again]
+    names = ("pairing", "connected", "integrand", "local_factor", "self_pairs",
+             "orientation_sign")
+    c = first[0]
+    assert repr(c) == "Contraction(" + ", ".join(
+        f"{name}={getattr(c, name)!r}" for name in names) + ")"
+    with pytest.raises(AttributeError):
+        c.connected = False
+
+
 def test_odd_leg_total_rejected():
     bad = Vertex("odd", (Q, Q, Q), ONE, jacobian=False)
     with pytest.raises(ValueError):
@@ -151,7 +167,7 @@ def _checked_pairs():
     pairs = [(x, None) for x in vertices]
     pairs += [(x, y) for x in vertices for y in vertices
               if len(x.legs) + len(y.legs) <= 10]
-    return pairs + [(v["qd2q4"], v["q6"])]
+    return pairs + [(v["qd2q4"], v["q6"]), (v["q6"], v["qd2q4"])]
 
 
 def test_contractions_match_direct_recomputation():
@@ -166,6 +182,32 @@ def test_contractions_match_direct_recomputation():
             assert c.self_pairs == selfs
             assert c.orientation_sign == sign
             assert c.connected == (v2 is None or bool(line.terms))
+
+
+def test_contractions_come_in_perfect_matchings_order():
+    for v1, v2 in _checked_pairs():
+        legs = [(0, i, kind) for i, kind in enumerate(v1.legs)]
+        if v2 is not None:
+            legs += [(1, i, kind) for i, kind in enumerate(v2.legs)]
+        pairings = [c.pairing for c in enumerate_contractions(v1, v2)]
+        assert pairings == list(perfect_matchings(legs)), (v1.label, v2 and v2.label)
+
+
+def test_results_need_no_cycle_collector():
+    v = {x.label: x for x in action_vertices(1)}
+    calls = [lambda: enumerate_contractions(v["qd2q2"], v["q4"]),
+             lambda: diagram_classes(2),
+             lambda: order_check(2)]
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        gc.collect()
+        for call in calls:
+            call()
+            assert gc.collect() == 0
+    finally:
+        if was_enabled:
+            gc.enable()
 
 
 def test_class_coefficients_are_multiplicity_times_prefactor_times_couplings():
