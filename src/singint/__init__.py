@@ -9,8 +9,7 @@ included.
 """
 
 from .integrand import (D_AT_ZERO, DDDOT_AT_ZERO, DDOT_AT_ZERO,
-                        IntegrandMonomial, IntegrandSum, integrand_sum, mono,
-                        mul_monomials)
+                        IntegrandMonomial, IntegrandSum, integrand_sum, mono)
 from .reducer import (ReductionTrace, RuleError, TraceStep, base_integral,
                       eval_dirac, eval_dirac_squared, ibp_step, reduce,
                       substitute_field_equation)
@@ -30,7 +29,7 @@ __all__ = [
     "W", "ZERO", "action_vertices", "base_integral", "diagram_classes",
     "diagram_identities", "enumerate_contractions", "eval_dirac",
     "eval_dirac_squared", "ibp_step", "identity_suite", "integrand_sum",
-    "mono", "mul_monomials", "order_check", "order_contribution",
+    "mono", "order_check", "order_contribution",
     "perfect_matchings", "quadrature_oracle", "reduce",
     "substitute_field_equation", "wpow",
 ]

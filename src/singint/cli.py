@@ -20,10 +20,10 @@ import re
 import sys
 from fractions import Fraction
 
-from .integrand import FACTOR_NAMES, IntegrandMonomial, IntegrandSum, mono
+from .integrand import FACTOR_NAMES, IntegrandMonomial, IntegrandSum
 from .reducer import ReductionTrace, RuleError, reduce
-from .ring import ValuePoly
-from .verify import diagram_identities, identity_suite, order_check
+from .ring import ValuePoly, render_signed
+from .verify import diagram_identities, identity_suite, order_check, symbol_bindings
 from .wick import diagram_classes
 
 _SYMBOL_NAMES = ("w", "d0", "a", "g")
@@ -169,26 +169,12 @@ def parse(text: str) -> IntegrandSum:
 
 def render_sum(s: IntegrandSum) -> str:
     """Canonical text for a sum; parse(render_sum(s)) == s.normalize()."""
-    s = s.normalize()
-    parts: list[str] = []
-    for term in s:
+    terms = []
+    for term in s.normalize():
         factors = term.factors_text()
-        for (kw, kd0, ka, kg), coef in term.coeff.render_terms():
-            symbols = (("g", kg), ("d0", kd0), ("a", ka), ("w", kw))
-            sym_text = [nm if k == 1 else f"{nm}^{k}" for nm, k in symbols if k]
-            body: list[str] = []
-            mag = abs(coef)
-            if mag != 1 or (not sym_text and not factors):
-                body.append(str(mag))
-            body.extend(sym_text)
-            if factors:
-                body.append(factors)
-            text = " ".join(body)
-            if not parts:
-                parts.append(text if coef > 0 else "-" + text)
-            else:
-                parts.append(("+ " if coef > 0 else "- ") + text)
-    return " ".join(parts) if parts else "0"
+        terms.extend((coef, words + [factors] if factors else words)
+                     for coef, words in term.coeff.render_terms())
+    return render_signed(terms)
 
 
 def _state_text(state) -> str:
@@ -260,25 +246,19 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_diagrams(args) -> int:
-    bindings = {}
-    if args.a is not None:
-        bindings["a"] = args.a
-    if args.veltman:
-        bindings["d0"] = 0
+    bindings = symbol_bindings(args.a, args.veltman)
     rows = []
     for cls in diagram_classes(args.order):
-        coeff = cls.coefficient.substitute(bindings) if bindings else cls.coefficient
-        local = cls.local_value.substitute(bindings) if bindings else cls.local_value
-        weight = coeff * local
-        monomial = mono(*cls.shape, coeff=Fraction(cls.sign)) if cls.shape != (0, 0, 0, 0) else None
+        weight, monomial = cls.term()
+        weight = weight.substitute(bindings)
         rows.append({
             "family": cls.family,
             "vertices": " x ".join(cls.vertices),
             "self_pairs": "; ".join(f"{vertex}:{kind}" for vertex, kind in cls.self_pairs) or "-",
             "integrand": render_sum(IntegrandSum([monomial])) if monomial else "-",
             "matchings": cls.multiplicity,
-            "coefficient": coeff.render(),
-            "local_value": local.render(),
+            "coefficient": cls.coefficient.substitute(bindings).render(),
+            "local_value": cls.local_value.substitute(bindings).render(),
             "contribution": (render_sum(IntegrandSum([monomial.scaled(weight)]))
                              if monomial else weight.render()),
         })

@@ -10,7 +10,8 @@ shape (0, 0, 0, 0) stands for coeff times the divergent bare measure
 integral dt * 1 and is never a valid reduction input.
 
 Equal-time (local) factors are never stored as integrand factors: they are
-folded into coefficients at construction time through the constants below,
+folded into coefficients at construction time by `local_value`, the one
+place that combines the constants below,
 
     D_AT_ZERO     = w^-1 / 2
     DDOT_AT_ZERO  = 0            (the sign function vanishes at the origin)
@@ -22,11 +23,10 @@ ring coefficients.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
-from .ring import D0, ONE, ZERO, RationalLike, ValuePoly
+from .ring import D0, ZERO, RationalLike, ValuePoly
 
 Shape = tuple[int, int, int, int]
 
@@ -37,18 +37,37 @@ DDDOT_AT_ZERO = ValuePoly.monomial(Fraction(1, 2), w=1) - D0
 # factor spellings shared by the renderer and the parser
 FACTOR_NAMES = ("D", "dD", "ddD", "delta")
 
+_setattr = object.__setattr__
 
-@dataclass(frozen=True)
+
 class IntegrandMonomial:
-    m: int
-    n: int
-    p: int
-    q: int
-    coeff: ValuePoly
+    """Immutable value; not a tuple, so `+` and `3 *` raise instead of joining fields."""
 
-    def __post_init__(self) -> None:
-        if min(self.m, self.n, self.p, self.q) < 0:
+    __slots__ = ("m", "n", "p", "q", "coeff")
+
+    def __init__(self, m: int, n: int, p: int, q: int, coeff: ValuePoly):
+        if min(m, n, p, q) < 0:
             raise ValueError("factor powers must be nonnegative")
+        _setattr(self, "m", m)
+        _setattr(self, "n", n)
+        _setattr(self, "p", p)
+        _setattr(self, "q", q)
+        _setattr(self, "coeff", coeff)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.m, self.n, self.p, self.q, self.coeff)
+                == (other.m, other.n, other.p, other.q, other.coeff))
+
+    def __hash__(self) -> int:
+        return hash((self.m, self.n, self.p, self.q, self.coeff))
 
     @property
     def shape(self) -> Shape:
@@ -85,10 +104,6 @@ def mono(m: int = 0, n: int = 0, p: int = 0, q: int = 0,
     if not isinstance(coeff, ValuePoly):
         coeff = ValuePoly.rational(coeff)
     return IntegrandMonomial(m, n, p, q, coeff)
-
-
-def mul_monomials(x: IntegrandMonomial, y: IntegrandMonomial) -> IntegrandMonomial:
-    return x * y
 
 
 class IntegrandSum:
@@ -160,7 +175,11 @@ def integrand_sum(*terms: IntegrandMonomial) -> IntegrandSum:
 
 
 def local_value(m: int = 0, n: int = 0, p: int = 0) -> ValuePoly:
-    """Equal-time value D(0)^m * dD(0)^n * ddD(0)^p as a ring element."""
-    if n > 0:
-        return ZERO
-    return D_AT_ZERO ** m * DDDOT_AT_ZERO ** p if (m or p) else ONE
+    """D(0)^m * dD(0)^n * ddD(0)^p; the one place the equal-time constants are folded."""
+    if n:
+        return ZERO  # DDOT_AT_ZERO ** n
+    if not p:
+        return D_AT_ZERO ** m
+    if not m:
+        return DDDOT_AT_ZERO ** p
+    return D_AT_ZERO ** m * DDDOT_AT_ZERO ** p

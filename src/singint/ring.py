@@ -19,7 +19,7 @@ them: they only drop the coefficients that cancelled.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterator, Mapping, Union
+from typing import Iterable, Iterator, Mapping, Union
 
 # exponent vector (k_w, k_d0, k_a, k_g)
 Exponents = tuple[int, int, int, int]
@@ -114,14 +114,20 @@ class ValuePoly:
     def __pow__(self, exponent: int) -> "ValuePoly":
         if not isinstance(exponent, int) or exponent < 0:
             raise ValueError("ValuePoly powers must be nonnegative integers")
-        result = ONE
+        if not exponent:
+            return ONE
+        # start at the lowest set bit and square only while bits remain
         base = self
-        n = exponent
-        while n:
-            if n & 1:
-                result = result * base
+        while not exponent & 1:
             base = base * base
-            n >>= 1
+            exponent >>= 1
+        result = base
+        exponent >>= 1
+        while exponent:
+            base = base * base
+            if exponent & 1:
+                result = result * base
+            exponent >>= 1
         return result
 
     def __eq__(self, other: object) -> bool:
@@ -179,37 +185,37 @@ class ValuePoly:
 
     # -- rendering ---------------------------------------------------------
 
-    def render_terms(self) -> list[tuple[Exponents, Fraction]]:
-        """Terms in canonical render order: (k_g, k_d0, k_a, k_w) descending."""
-        return sorted(self._terms.items(),
-                      key=lambda it: (-it[0][3], -it[0][1], -it[0][2], -it[0][0]))
+    def render_terms(self) -> list[tuple[Fraction, list[str]]]:
+        """(coefficient, symbol words) per term, by (k_g, k_d0, k_a, k_w) descending."""
+        out = []
+        for (kw, kd0, ka, kg), coef in sorted(
+                self._terms.items(), key=lambda it: (-it[0][3], -it[0][1], -it[0][2], -it[0][0])):
+            symbols = (("g", kg), ("d0", kd0), ("a", ka), ("w", kw))
+            out.append((coef, [name if k == 1 else f"{name}^{k}" for name, k in symbols if k]))
+        return out
 
     def render(self) -> str:
         """Canonical text: terms sorted by (k_g, k_d0, k_a, k_w) descending."""
-        if not self._terms:
-            return "0"
-        ordered = self.render_terms()
-        parts: list[str] = []
-        for (kw, kd0, ka, kg), coef in ordered:
-            body: list[str] = []
-            symbols = (("g", kg), ("d0", kd0), ("a", ka), ("w", kw))
-            sym_text = [name if k == 1 else f"{name}^{k}" for name, k in symbols if k]
-            mag = abs(coef)
-            if mag != 1 or not sym_text:
-                body.append(str(mag))
-            body.extend(sym_text)
-            text = " ".join(body)
-            if not parts:
-                parts.append(text if coef > 0 else "-" + text)
-            else:
-                parts.append(("+ " if coef > 0 else "- ") + text)
-        return " ".join(parts)
+        return render_signed(self.render_terms())
 
     def __str__(self) -> str:
         return self.render()
 
     def __repr__(self) -> str:
         return f"ValuePoly({self.render()!r})"
+
+
+def render_signed(terms: Iterable[tuple[Fraction, list[str]]]) -> str:
+    """Signed text of (coefficient, words) terms, unit magnitudes elided; "0" if none."""
+    parts: list[str] = []
+    for coef, words in terms:
+        mag = abs(coef)
+        text = " ".join(words) if mag == 1 and words else " ".join([str(mag), *words])
+        if parts:
+            parts.append(("+ " if coef > 0 else "- ") + text)
+        else:
+            parts.append(text if coef > 0 else "-" + text)
+    return " ".join(parts) if parts else "0"
 
 
 def _canonical(terms: dict[Exponents, Fraction]) -> ValuePoly:

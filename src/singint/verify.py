@@ -14,9 +14,9 @@ touches the symbolic engine.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import exp
+from typing import NamedTuple
 
 from .integrand import D_AT_ZERO, IntegrandSum, integrand_sum, mono
 from .reducer import ReductionTrace, reduce
@@ -32,8 +32,7 @@ INT_D_FOURTH = ValuePoly.monomial(Fraction(1, 32), w=-5)
 LEBESGUE_DD_FOURTH = ValuePoly.monomial(Fraction(1, 32), w=-1)
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     expected: ValuePoly
     actual: ValuePoly
@@ -141,6 +140,17 @@ def diagram_identities() -> list[CheckResult]:
     return checks
 
 
+def symbol_bindings(a_binding: RationalLike | None = None,
+                    veltman: bool = False) -> dict[str, RationalLike]:
+    """Ring bindings for `--a P/Q` (the map parameter) and `--veltman` (d0 := 0)."""
+    bindings: dict[str, RationalLike] = {}
+    if a_binding is not None:
+        bindings["a"] = a_binding
+    if veltman:
+        bindings["d0"] = 0
+    return bindings
+
+
 def order_check(order: int, a_binding: RationalLike | None = None,
                 veltman: bool = False) -> CheckResult:
     """Assert the g^order free-energy shift is the zero ring element.
@@ -151,14 +161,9 @@ def order_check(order: int, a_binding: RationalLike | None = None,
     classes survive, and again to the reduced value: the delta^2 rule emits
     a fresh d0 factor, and a bound symbol has to stay bound through it.
     """
-    bindings: dict[str, RationalLike] = {}
-    label = f"order-{order} total"
-    if a_binding is not None:
-        bindings["a"] = a_binding
-        label += f" (a = {Fraction(a_binding)})"
-    if veltman:
-        bindings["d0"] = 0
-        label += " (d0 = 0)"
+    bindings = symbol_bindings(a_binding, veltman)
+    label = f"order-{order} total" + "".join(
+        f" ({name} = {Fraction(value)})" for name, value in bindings.items())
     local, nonlocal_part = order_contribution(order)
     if bindings:
         local = local.substitute(bindings)

@@ -38,12 +38,10 @@ qdot qdot), and each call builds it once per distinct count.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterator, NamedTuple, Sequence
 
-from .integrand import (D_AT_ZERO, DDDOT_AT_ZERO, DDOT_AT_ZERO,
-                        IntegrandMonomial, IntegrandSum, mono)
+from .integrand import IntegrandMonomial, IntegrandSum, local_value, mono
 from .ring import A, D0, G, ONE, W, ZERO, ValuePoly
 
 Q = "q"
@@ -53,23 +51,11 @@ QDOT = "qdot"
 Leg = tuple[int, int, str]
 
 
-@dataclass(frozen=True)
-class Vertex:
+class Vertex(NamedTuple):
     label: str
     legs: tuple[str, ...]
     coupling: ValuePoly
     jacobian: bool
-
-    @property
-    def signature(self) -> str:
-        nd = self.legs.count(QDOT)
-        nq = self.legs.count(Q)
-        parts = []
-        if nd:
-            parts.append(f"qdot^{nd}" if nd > 1 else "qdot")
-        if nq:
-            parts.append(f"q^{nq}" if nq > 1 else "q")
-        return " ".join(parts)
 
 
 def action_vertices(order: int) -> list[Vertex]:
@@ -117,17 +103,13 @@ class Contraction(NamedTuple):
     orientation_sign: int
 
 
-_SELF_VALUES = {
-    (Q, Q): D_AT_ZERO,
-    (QDOT, Q): DDOT_AT_ZERO,
-    (QDOT, QDOT): -DDDOT_AT_ZERO,
-}
+# same-vertex pair kinds in `local_value` argument order: D(0), dD(0), ddD(0)
 _SELF_KIND = {(Q, Q): "qq", (QDOT, Q): "qdot q", (QDOT, QDOT): "qdot qdot"}
-_SELF_INDEX = {kinds: i for i, kinds in enumerate(_SELF_VALUES)}
+_SELF_INDEX = {kinds: i for i, kinds in enumerate(_SELF_KIND)}
 
 # Fields of a matching's packed counter, lowest first: self pairs by
 # (vertex slot, kind index), then the cross lines m, n, p, then sign flips.
-_KINDS = len(_SELF_VALUES)
+_KINDS = len(_SELF_KIND)
 _LINE_FIELD = 2 * _KINDS
 _FLIP_FIELD = _LINE_FIELD + 3
 _FIELDS = _FLIP_FIELD + 1
@@ -171,7 +153,7 @@ def enumerate_contractions(v1: Vertex, v2: Vertex | None = None) -> list[Contrac
         for j in range(i + 1, len(legs)):
             b = legs[j]
             (va, _, ka), (vb, _, kb) = a, b
-            kinds = (ka, kb) if (ka, kb) in _SELF_VALUES else (kb, ka)
+            kinds = (ka, kb) if (ka, kb) in _SELF_KIND else (kb, ka)
             if va == vb:
                 field, flip = _KINDS * va + _SELF_INDEX[kinds], False
             elif kinds == (Q, Q):
@@ -195,12 +177,13 @@ def enumerate_contractions(v1: Vertex, v2: Vertex | None = None) -> list[Contrac
         kinds = tuple(count[k] + count[_KINDS + k] for k in range(_KINDS))
         local = locals_.get(kinds)
         if local is None:
-            local = ONE
-            for value, power in zip(_SELF_VALUES.values(), kinds):
-                local = local * value ** power
+            # a same-vertex qdot qdot pair is -ddD(0)
+            local = local_value(*kinds)
+            if kinds[2] & 1:
+                local = -local
             locals_[kinds] = local
-        selfs = sorted((labels[slot], _SELF_KIND[kind])
-                       for slot in (0, 1) for k, kind in enumerate(_SELF_VALUES)
+        selfs = sorted((labels[slot], name)
+                       for slot in (0, 1) for k, name in enumerate(_SELF_KIND.values())
                        for _ in range(count[_KINDS * slot + k]))
         m, n, p = count[_LINE_FIELD:_FLIP_FIELD]
         sign = -1 if count[_FLIP_FIELD] & 1 else 1
@@ -222,8 +205,7 @@ def enumerate_contractions(v1: Vertex, v2: Vertex | None = None) -> list[Contrac
     return out
 
 
-@dataclass(frozen=True)
-class DiagramClass:
+class DiagramClass(NamedTuple):
     """Contractions sharing vertices, self-pair pattern, line shape and sign.
 
     coefficient = cumulant prefactor * couplings * number of matchings; the

@@ -206,9 +206,11 @@ def test_report_marks_failures_and_exit_1(capsys):
 
 
 def test_cli_import_does_not_load_scipy():
-    # scipy belongs to the quadrature oracle alone, so the CLI starts without it
+    # scipy belongs to the quadrature oracle alone, so the CLI starts without it;
+    # the value records are named tuples, so neither dataclasses nor inspect loads
     code = ("import singint.cli, sys; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+            "print(sorted(m for m in sys.modules "
+            "if m.split('.')[0] in ('scipy', 'dataclasses', 'inspect')))")
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=env, check=True)

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from conftest import integrand_sums, value_polys
 from singint import (D0, ZERO, D_AT_ZERO, DDDOT_AT_ZERO, DDOT_AT_ZERO,
                      IntegrandMonomial, IntegrandSum, ValuePoly,
-                     integrand_sum, mono, mul_monomials, reduce)
+                     integrand_sum, mono, reduce)
 from singint.cli import parse
 from singint.integrand import local_value
 
@@ -50,10 +50,28 @@ def test_factors_text_elides_unit_powers():
 def test_monomial_product_adds_powers_and_multiplies_coefficients():
     x = mono(1, 2, 0, 0, coeff=Fraction(1, 2))
     y = mono(0, 1, 1, 1, coeff=Fraction(4))
-    z = mul_monomials(x, y)
+    z = x * y
     assert z.shape == (1, 3, 1, 1)
     assert z.coeff == ValuePoly.rational(2)
     assert x * y == z
+
+
+def test_monomials_are_immutable_values_not_tuples():
+    t = mono(1, 2, 0, 0, coeff=Fraction(-3, 32))
+    with pytest.raises(AttributeError):
+        t.m = 3
+    with pytest.raises(AttributeError):
+        t.coeff = ValuePoly.rational(1)
+    twin = IntegrandMonomial(1, 2, 0, 0, ValuePoly.rational(Fraction(-3, 32)))
+    assert t == twin and hash(t) == hash(twin)
+    assert t != mono(1, 2, 0, 0, coeff=Fraction(3, 32))
+    assert t != (t.m, t.n, t.p, t.q, t.coeff)
+    with pytest.raises(TypeError):
+        mono() + mono()
+    with pytest.raises(TypeError):
+        3 * mono()
+    assert repr(t) == "IntegrandMonomial('-3/32' * 'D dD^2')"
+    assert repr(mono(0, 0, 0, 0, coeff=0)) == "IntegrandMonomial('0' * '1')"
 
 
 def test_scaled_multiplies_only_the_coefficient():

@@ -230,3 +230,27 @@ def test_reduce_homogeneous_small(s, c):
     v, _ = reduce(s)
     vc, _ = reduce(s.scale(c))
     assert vc == c * v
+
+
+def _total_derivative(m, n):
+    """d/dt (D^m dD^n) = m D^(m-1) dD^(n+1) + n D^m dD^(n-1) ddD."""
+    terms = []
+    if m:
+        terms.append(mono(m - 1, n + 1, 0, 0, coeff=m))
+    if n:
+        terms.append(mono(m, n - 1, 1, 0, coeff=n))
+    return integrand_sum(*terms)
+
+
+def test_total_derivatives_with_a_propagator_integrate_to_zero():
+    for m in range(1, 9):
+        for n in range(1, 13):
+            assert value_of(*_total_derivative(m, n)).is_zero, (m, n)
+
+
+def test_total_derivatives_of_bare_dD_powers():
+    # dD(0) = 0 drops the delta term of n dD^(n-1) ddD, so odd n >= 3 leave a rest
+    pinned = {3: Fraction(1, 4), 5: Fraction(-3, 32), 7: Fraction(15, 512),
+              9: Fraction(-35, 4096), 11: Fraction(315, 131072)}
+    for n in range(1, 13):
+        assert value_of(*_total_derivative(0, n)) == pinned.get(n, 0), n

@@ -81,6 +81,25 @@ def test_power_repeated_multiplication():
         p ** -1
 
 
+@pytest.mark.parametrize("k, multiplies", [(0, 0), (1, 0), (2, 1), (3, 2), (4, 2)])
+def test_power_multiplies_only_as_the_bits_need(monkeypatch, k, multiplies):
+    p = W + D0 + half
+    expected = ONE
+    for _ in range(k):
+        expected = expected * p
+    calls = []
+    mul = ValuePoly.__mul__
+
+    def counted(self, other):
+        calls.append(1)
+        return mul(self, other)
+
+    monkeypatch.setattr(ValuePoly, "__mul__", counted)
+    got = p ** k
+    assert len(calls) == multiplies
+    assert got == expected
+
+
 def test_degree_and_coefficient_queries():
     p = ValuePoly.monomial(half, w=-1) + ValuePoly.monomial(3, d0=2, w=1)
     assert p.degree_in("w") == 1

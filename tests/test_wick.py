@@ -9,10 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from singint import (A, D0, G, ONE, W, ZERO, D_AT_ZERO, DDDOT_AT_ZERO,
-                     IntegrandSum, ValuePoly, Vertex, action_vertices,
+                     DDOT_AT_ZERO, IntegrandSum, ValuePoly, Vertex, action_vertices,
                      diagram_classes, enumerate_contractions, mono,
                      order_check, order_contribution, perfect_matchings, reduce)
-from singint.wick import _SELF_VALUES, Q, QDOT
+from singint.wick import Q, QDOT
+
+# equal-time value of one same-vertex pair; a qdot qdot pair is -ddD(0)
+SELF_VALUES = {(Q, Q): D_AT_ZERO, (QDOT, Q): DDOT_AT_ZERO, (QDOT, QDOT): -DDDOT_AT_ZERO}
 
 
 def double_factorial_odd(k: int) -> int:
@@ -143,7 +146,7 @@ def _direct_contraction(v1, v2, matching):
     for (va, _, ka), (vb, _, kb) in matching:
         kinds = tuple(sorted((ka, kb), reverse=True))   # qdot before q
         if va == vb:
-            local = local * _SELF_VALUES[kinds]
+            local = local * SELF_VALUES[kinds]
             selfs.append((labels[va], names[kinds]))
             continue
         # slot 0 is the free time t, slot 1 is pinned at 0
