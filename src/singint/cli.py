@@ -93,7 +93,7 @@ class _Parser:
             if kind == "num":
                 coeff = coeff * self._rational()
             elif kind == "name":
-                coeff, powers = self._named_atom(coeff, powers)
+                coeff = self._named_atom(coeff, powers)
             elif kind == "op" and text == "*":
                 self.advance()
                 nxt_kind, nxt_text, nxt_col = self.peek()
@@ -124,10 +124,10 @@ class _Parser:
             value /= int(dtext)
         return value
 
-    def _power(self, default: int = 1) -> int:
+    def _power(self) -> int:
         kind, text, _ = self.peek()
         if not (kind == "op" and text == "^"):
-            return default
+            return 1
         self.advance()
         negative = False
         kind, text, column = self.peek()
@@ -141,25 +141,17 @@ class _Parser:
         value = int(text)
         return -value if negative else value
 
-    def _named_atom(self, coeff: ValuePoly, powers: dict[str, int]):
+    def _named_atom(self, coeff: ValuePoly, powers: dict[str, int]) -> ValuePoly:
         _, name, column = self.advance()
+        if name not in FACTOR_NAMES and name not in _SYMBOL_NAMES:
+            raise ParseError(f"unknown symbol {name!r}", column)
+        power = self._power()
+        if name != "w" and power < 0:
+            raise ParseError(f"negative power of {name}", column)
         if name in FACTOR_NAMES:
-            power = self._power()
-            if power < 0:
-                raise ParseError(f"negative power of {name}", column)
-            powers = dict(powers)
             powers[name] += power
-            return coeff, powers
-        if name in _SYMBOL_NAMES:
-            power = self._power()
-            if name != "w" and power < 0:
-                raise ParseError(f"negative power of {name}", column)
-            exps = {name: power}
-            coeff = coeff * ValuePoly.monomial(
-                1, w=exps.get("w", 0), d0=exps.get("d0", 0),
-                a=exps.get("a", 0), g=exps.get("g", 0))
-            return coeff, powers
-        raise ParseError(f"unknown symbol {name!r}", column)
+            return coeff
+        return coeff * ValuePoly.monomial(1, **{name: power})
 
 
 def parse(text: str) -> IntegrandSum:

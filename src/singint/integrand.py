@@ -81,6 +81,8 @@ class IntegrandMonomial:
         return IntegrandMonomial(self.m, self.n, self.p, self.q, self.coeff * factor)
 
     def __mul__(self, other: "IntegrandMonomial") -> "IntegrandMonomial":
+        if not isinstance(other, IntegrandMonomial):
+            return NotImplemented
         return IntegrandMonomial(self.m + other.m, self.n + other.n,
                                  self.p + other.p, self.q + other.q,
                                  self.coeff * other.coeff)

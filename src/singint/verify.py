@@ -16,12 +16,12 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import exp
-from typing import NamedTuple
+from typing import Iterable, NamedTuple
 
 from .integrand import D_AT_ZERO, IntegrandSum, integrand_sum, mono
 from .reducer import ReductionTrace, reduce
 from .ring import D0, G, W, ZERO, RationalLike, ValuePoly
-from .wick import order_contribution
+from .wick import DiagramClass, diagram_classes, order_contribution
 
 # frozen nonsingular integrals (independently confirmed by the oracle)
 INT_D_SQUARED = ValuePoly.monomial(Fraction(1, 4), w=-3)
@@ -55,7 +55,7 @@ def identity_suite() -> list[CheckResult]:
     """Exact reductions of the named two- and four-line integrands."""
     w2 = W * W
     w4 = w2 * w2
-    checks = [
+    reduced = [
         _reduced("dD^2 + w^2 D^2",
                  integrand_sum(mono(n=2), mono(m=2, coeff=w2)),
                  D_AT_ZERO),
@@ -74,12 +74,6 @@ def identity_suite() -> list[CheckResult]:
         _reduced("ddD dD^2 D",
                  integrand_sum(mono(m=1, n=2, p=1)),
                  ValuePoly.monomial(Fraction(1, 32), w=-1)),
-        _check("ddD dD^2 D vs w^2 dD^2 D^2",
-               w2 * reduce(integrand_sum(mono(m=2, n=2)))[0],
-               reduce(integrand_sum(mono(m=1, n=2, p=1)))[0]),
-        _check("dD^4 vs -3 ddD dD^2 D",
-               ValuePoly.rational(-3) * reduce(integrand_sum(mono(m=1, n=2, p=1)))[0],
-               reduce(integrand_sum(mono(n=4)))[0]),
         _reduced("dD^4",
                  integrand_sum(mono(n=4)),
                  ValuePoly.monomial(Fraction(-3, 32), w=-1)),
@@ -99,13 +93,33 @@ def identity_suite() -> list[CheckResult]:
                  integrand_sum(mono(n=2, q=2)),
                  ZERO),
     ]
-    return checks
+    # cross-derivations compare values the suite has already reduced; they
+    # are listed after the sixth row, "ddD dD^2 D"
+    value = {check.name: check.actual for check in reduced}
+    cross = [
+        _check("ddD dD^2 D vs w^2 dD^2 D^2",
+               w2 * value["dD^2 D^2"],
+               value["ddD dD^2 D"]),
+        _check("dD^4 vs -3 ddD dD^2 D",
+               ValuePoly.rational(-3) * value["ddD dD^2 D"],
+               value["dD^4"]),
+    ]
+    return reduced[:6] + cross + reduced[6:]
 
 
-def _family_value(order: int, families: tuple[str, ...]) -> ValuePoly:
-    local, nonlocal_part = order_contribution(order, families)
-    reduced_value, _ = reduce(nonlocal_part) if nonlocal_part.terms else (ZERO, None)
-    return local + reduced_value
+def _total(classes: Iterable[DiagramClass], bindings: dict[str, RationalLike] | None = None
+           ) -> tuple[ValuePoly, ReductionTrace | None]:
+    """Folded, reduced value of `classes`, and the reduction's trace if one ran."""
+    local, nonlocal_part = order_contribution(classes)
+    if bindings:
+        local = local.substitute(bindings)
+        nonlocal_part = nonlocal_part.substitute(bindings)
+    if not nonlocal_part.terms:
+        return local, None
+    reduced_value, trace = reduce(nonlocal_part)
+    if bindings:
+        reduced_value = reduced_value.substitute(bindings)
+    return local + reduced_value, trace
 
 
 def diagram_identities() -> list[CheckResult]:
@@ -113,14 +127,19 @@ def diagram_identities() -> list[CheckResult]:
     g2 = G * G
     prop0_sq = D_AT_ZERO ** 2
     prop0_cu = D_AT_ZERO ** 3
-    jacobian = _family_value(2, ("jacobian_bubble",))
-    bubbles = _family_value(2, ("jacobian_bubble", "bubble"))
-    local3 = _family_value(2, ("local",))
-    watermelon = _family_value(2, ("watermelon",))
+    second = diagram_classes(2)
+
+    def family_sum(*families: str) -> ValuePoly:
+        return _total(c for c in second if c.family in families)[0]
+
+    jacobian = family_sum("jacobian_bubble")
+    bubbles = family_sum("jacobian_bubble", "bubble")
+    local3 = family_sum("local")
+    watermelon = family_sum("watermelon")
     checks = [
         _check("order-1 connected sum",
                ZERO,
-               _family_value(1, ("local",))),
+               _total(diagram_classes(1))[0]),
         _check("jacobian bubble sum",
                g2 * (2 * D0 * prop0_sq + D0 * D0 * INT_D_SQUARED),
                jacobian),
@@ -157,24 +176,16 @@ def order_check(order: int, a_binding: RationalLike | None = None,
 
     With no bindings the result must vanish identically in w, d0 and a.
     `a_binding` substitutes the map parameter; `veltman` sets d0 := 0.
-    Bindings are applied before reduction, so they change which diagram
-    classes survive, and again to the reduced value: the delta^2 rule emits
-    a fresh d0 factor, and a bound symbol has to stay bound through it.
+    The total takes every class of `diagram_classes(order)` down the same
+    path as the family sums of `diagram_identities`.  Bindings are applied
+    before reduction, so they change which diagram classes survive, and
+    again to the reduced value: the delta^2 rule emits a fresh d0 factor,
+    and a bound symbol has to stay bound through it.
     """
     bindings = symbol_bindings(a_binding, veltman)
     label = f"order-{order} total" + "".join(
         f" ({name} = {Fraction(value)})" for name, value in bindings.items())
-    local, nonlocal_part = order_contribution(order)
-    if bindings:
-        local = local.substitute(bindings)
-        nonlocal_part = nonlocal_part.substitute(bindings)
-    if nonlocal_part.terms:
-        reduced_value, trace = reduce(nonlocal_part)
-        if bindings:
-            reduced_value = reduced_value.substitute(bindings)
-    else:
-        reduced_value, trace = ZERO, None
-    return _check(label, ZERO, local + reduced_value, trace)
+    return _check(label, ZERO, *_total(diagram_classes(order), bindings))
 
 
 def quadrature_oracle(m: int, n: int, omega: float) -> float:

@@ -12,9 +12,11 @@ their exact couplings.  The free-energy shift per unit time is
     first cumulant of the order-g^n vertices
     - (1/2!) * connected second cumulant of the order-g vertices   (n = 2)
 
-and `order_contribution` assembles exactly that, with the second vertex of
-every two-vertex contraction pinned at time 0 (the shared time volume is
-divided out).
+and `diagram_classes(order)` classifies exactly that, with the second vertex
+of every two-vertex contraction pinned at time 0 (the shared time volume is
+divided out).  `order_contribution(classes)` folds the classes it is given,
+a whole order or one family of it, into a local part and a nonlocal
+integrand; it never classifies on its own.
 
 Contractions are enumerated as raw perfect matchings of the vertex legs,
 nothing is skipped: matchings whose equal-time dD(0) factor kills them are
@@ -39,7 +41,7 @@ qdot qdot), and each call builds it once per distinct count.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Callable, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .integrand import IntegrandMonomial, IntegrandSum, local_value, mono
 from .ring import A, D0, G, ONE, W, ZERO, ValuePoly
@@ -287,19 +289,12 @@ def diagram_classes(order: int) -> list[DiagramClass]:
     return classes
 
 
-def order_contribution(order: int,
-                       families: tuple[str, ...] | None = None
+def order_contribution(classes: Iterable[DiagramClass]
                        ) -> tuple[ValuePoly, IntegrandSum]:
-    """(local scalar part, nonlocal integrand) of the g^order free-energy shift.
-
-    `families` restricts the sum to the named diagram families; by default
-    every connected class contributes.
-    """
+    """(local scalar part, normalized nonlocal integrand) summed over `classes`."""
     local_total = ZERO
     nonlocal_terms: list[IntegrandMonomial] = []
-    for cls in diagram_classes(order):
-        if families is not None and cls.family not in families:
-            continue
+    for cls in classes:
         weight, monomial = cls.term()
         if monomial is None:
             local_total = local_total + weight

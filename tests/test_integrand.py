@@ -70,6 +70,8 @@ def test_monomials_are_immutable_values_not_tuples():
         mono() + mono()
     with pytest.raises(TypeError):
         3 * mono()
+    with pytest.raises(TypeError):
+        mono() * 3
     assert repr(t) == "IntegrandMonomial('-3/32' * 'D dD^2')"
     assert repr(mono(0, 0, 0, 0, coeff=0)) == "IntegrandMonomial('0' * '1')"
 

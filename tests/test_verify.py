@@ -4,9 +4,9 @@ from fractions import Fraction
 
 import pytest
 
-from singint import (D0, ZERO, D_AT_ZERO, ValuePoly, diagram_identities,
-                     identity_suite, integrand_sum, mono, order_check,
-                     quadrature_oracle, reduce)
+from singint import (D0, ZERO, D_AT_ZERO, ValuePoly, diagram_classes,
+                     diagram_identities, identity_suite, integrand, integrand_sum,
+                     mono, order_check, quadrature_oracle, reduce, wick)
 from singint.verify import INT_D_FOURTH, INT_D_SQUARED, LEBESGUE_DD_FOURTH
 
 
@@ -64,6 +64,46 @@ def test_order_check_under_bindings():
     assert order_check(2, veltman=True).passed
     assert order_check(2, a_binding=Fraction(5, 3), veltman=True).passed
     assert order_check(1, veltman=True).passed
+
+
+def test_diagram_identities_classifies_each_order_once(monkeypatch):
+    enumerated = []
+    original = wick.enumerate_contractions
+
+    def counting(*vertices):
+        result = original(*vertices)
+        enumerated.append(len(result))
+        return result
+
+    monkeypatch.setattr(wick, "enumerate_contractions", counting)
+    diagram_classes(1)
+    diagram_classes(2)
+    once = sum(enumerated)
+    enumerated.clear()
+    diagram_identities()
+    assert sum(enumerated) == once == 7 + 516
+
+
+def test_naive_equal_time_value_leaves_a_d0_residue(monkeypatch):
+    # ddD(0) = 1/2 w without its -d0 contact part; `local_value` reads the
+    # constant at call time, so the Wick matcher and the reducer both see it
+    monkeypatch.setattr(integrand, "DDDOT_AT_ZERO", ValuePoly.monomial(Fraction(1, 2), w=1))
+    g2d0 = ValuePoly.monomial(1, g=2, d0=1)
+    residues = [
+        (order_check(1), ValuePoly.monomial(Fraction(1, 2), g=1, d0=1, w=-1)),
+        (order_check(2), g2d0 * (ValuePoly.monomial(Fraction(-1, 4), d0=1, w=-3)
+                                 + ValuePoly.monomial(Fraction(-3, 4), a=1, w=-2)
+                                 + ValuePoly.monomial(Fraction(1, 8), w=-2))),
+        (order_check(2, a_binding=Fraction(1, 2)),
+         g2d0 * (ValuePoly.monomial(Fraction(-1, 4), d0=1, w=-3)
+                 + ValuePoly.monomial(Fraction(-1, 4), w=-2))),
+    ]
+    for check, residue in residues:
+        assert not check.passed, check.name
+        assert check.actual == residue, check.name
+    # every residue term carries d0, so the Veltman convention hides the fault
+    assert order_check(1, veltman=True).passed
+    assert order_check(2, veltman=True).passed
 
 
 def test_order_check_carries_a_trace_when_nonlocal():

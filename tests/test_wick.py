@@ -282,13 +282,13 @@ def test_class_term_consistency():
 
 
 def test_order_1_contribution_vanishes_locally():
-    local, nonlocal_part = order_contribution(1)
+    local, nonlocal_part = order_contribution(diagram_classes(1))
     assert local == ZERO
     assert nonlocal_part.is_zero
 
 
 def test_order_2_nonlocal_stays_in_reducer_closure():
-    _, nonlocal_part = order_contribution(2)
+    _, nonlocal_part = order_contribution(diagram_classes(2))
     assert not nonlocal_part.is_zero
     for t in nonlocal_part.normalize():
         assert t.q == 0
@@ -296,14 +296,15 @@ def test_order_2_nonlocal_stays_in_reducer_closure():
 
 
 def test_order_2_local_sum_has_no_a_dependence():
-    local, _ = order_contribution(2)
+    local, _ = order_contribution(diagram_classes(2))
     assert not local.is_zero
     assert local.degree_in("a") == 0
 
 
 def test_family_split_sums_to_the_whole():
-    whole_local, whole_nonlocal = order_contribution(2)
-    parts = [order_contribution(2, families=(f,))
+    classes = diagram_classes(2)
+    whole_local, whole_nonlocal = order_contribution(classes)
+    parts = [order_contribution(c for c in classes if c.family == f)
              for f in ("local", "watermelon", "bubble", "jacobian_bubble")]
     total_local = ZERO
     total_nonlocal = IntegrandSum()
@@ -316,17 +317,21 @@ def test_family_split_sums_to_the_whole():
 
 def test_order_contribution_rejects_other_orders():
     with pytest.raises(ValueError):
-        order_contribution(3)
+        diagram_classes(3)
+    with pytest.raises(ValueError):
+        order_check(3)
 
 
 def test_bubble_families_reduce_to_minus_d0_prop_squared():
     # interaction bubbles alone: pure-w parts cancel internally, d0 parts stay
-    _, bubbles = order_contribution(2, families=("bubble",))
+    classes = diagram_classes(2)
+    _, bubbles = order_contribution(c for c in classes if c.family == "bubble")
     val, _ = reduce(bubbles)
     assert val == (ValuePoly.monomial(Fraction(-1, 4), g=2, d0=2, w=-3)
                    + ValuePoly.monomial(Fraction(-3, 4), g=2, d0=1, w=-2))
     # adding the jacobian bubbles leaves exactly -g^2 d0 D(0)^2
-    _, with_jacobian = order_contribution(2, families=("bubble", "jacobian_bubble"))
+    _, with_jacobian = order_contribution(
+        c for c in classes if c.family in ("bubble", "jacobian_bubble"))
     val, _ = reduce(with_jacobian)
     prop0_sq = D_AT_ZERO * D_AT_ZERO
     assert val == -(G * G * D0 * prop0_sq)
