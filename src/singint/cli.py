@@ -9,7 +9,7 @@ Expression syntax (whitespace or '*' separates atoms, '+'/'-' joins terms):
 Examples:  "dD^2 + w^2 D^2",  "-3/32 w^-1 dD^4",  "delta^2 D^2".
 
 Commands: reduce, identities, diagrams, verify.  Exit codes: 0 all good,
-1 a check failed, 2 unusable input (usage, parse or rule-domain error).
+1 a check failed, 2 unusable input (usage, parse, rule-domain or number-size error).
 """
 
 from __future__ import annotations
@@ -21,12 +21,10 @@ import sys
 from fractions import Fraction
 
 from .integrand import FACTOR_NAMES, IntegrandMonomial, IntegrandSum
-from .reducer import ReductionTrace, RuleError, reduce
-from .ring import ValuePoly, render_signed
+from .reducer import ReductionTrace, reduce
+from .ring import SYMBOL_NAMES, ValuePoly, render_signed
 from .verify import diagram_identities, identity_suite, order_check, symbol_bindings
 from .wick import diagram_classes
-
-_SYMBOL_NAMES = ("w", "d0", "a", "g")
 
 
 class ParseError(ValueError):
@@ -39,11 +37,14 @@ _TOKEN_RE = re.compile(r"(?P<num>\d+)|(?P<name>[A-Za-z][A-Za-z0-9]*)|(?P<op>[\^+
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
+    max_digits = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
     tokens = []
     for match in _TOKEN_RE.finditer(text):
         column = match.start() + 1
         if match.lastgroup == "bad":
             raise ParseError(f"unexpected character {match.group()!r}", column)
+        if match.lastgroup == "num" and max_digits and len(match.group()) > max_digits:
+            raise ParseError(f"number longer than {max_digits} digits", column)
         tokens.append((match.lastgroup, match.group(), column))
     tokens.append(("end", "", len(text) + 1))
     return tokens
@@ -75,7 +76,7 @@ class _Parser:
                 terms.append(self.parse_term(-1 if text == "-" else 1))
             else:
                 raise ParseError(f"expected '+' or '-' before {text!r}", column)
-        return IntegrandSum(terms).normalize()
+        return IntegrandSum(terms)
 
     def _leading_sign(self) -> int:
         kind, text, _ = self.peek()
@@ -143,7 +144,7 @@ class _Parser:
 
     def _named_atom(self, coeff: ValuePoly, powers: dict[str, int]) -> ValuePoly:
         _, name, column = self.advance()
-        if name not in FACTOR_NAMES and name not in _SYMBOL_NAMES:
+        if name not in FACTOR_NAMES and name not in SYMBOL_NAMES:
             raise ParseError(f"unknown symbol {name!r}", column)
         power = self._power()
         if name != "w" and power < 0:
@@ -160,9 +161,9 @@ def parse(text: str) -> IntegrandSum:
 
 
 def render_sum(s: IntegrandSum) -> str:
-    """Canonical text for a sum; parse(render_sum(s)) == s.normalize()."""
+    """Text of a sum, canonical as every sum is; parse(render_sum(s)) == s."""
     terms = []
-    for term in s.normalize():
+    for term in s:
         factors = term.factors_text()
         terms.extend((coef, words + [factors] if factors else words)
                      for coef, words in term.coeff.render_terms())
@@ -331,7 +332,7 @@ def main(argv: list[str] | None = None) -> int:
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2
-    except RuleError as exc:
+    except ValueError as exc:  # a RuleError, or a number too long to print
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

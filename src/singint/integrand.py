@@ -18,7 +18,7 @@ place that combines the constants below,
     DDDOT_AT_ZERO = -d0 + w/2    (second derivative at coincident times)
 
 so an IntegrandSum always describes genuinely nonlocal content plus exact
-ring coefficients.
+ring coefficients, and it is canonical on construction: no caller normalizes.
 """
 
 from __future__ import annotations
@@ -109,35 +109,36 @@ def mono(m: int = 0, n: int = 0, p: int = 0, q: int = 0,
 
 
 class IntegrandSum:
-    """A finite sum of integrand monomials.
+    """A finite sum of integrand monomials, canonical on construction.
 
-    normalize() produces the canonical form: monomials of equal shape merged,
-    zero-coefficient terms dropped, terms sorted lexicographically by
-    (m, n, p, q).  Two sums compare equal when their canonical forms match.
+    The constructor merges monomials of equal shape, drops zero-coefficient
+    terms and sorts the rest lexicographically by (m, n, p, q), so two sums
+    are equal exactly when their terms are.
     """
 
     __slots__ = ("terms",)
 
     def __init__(self, terms: Iterable[IntegrandMonomial] = ()):
-        self.terms: tuple[IntegrandMonomial, ...] = tuple(terms)
-
-    def normalize(self) -> "IntegrandSum":
         # a shape seen once keeps its monomial; only a repeat pays a ring add
         acc: dict[Shape, IntegrandMonomial] = {}
-        for term in self.terms:
+        for term in terms:
             shape = term.shape
             first = acc.get(shape)
             acc[shape] = term if first is None else IntegrandMonomial(
                 *shape, first.coeff + term.coeff)
-        kept = [acc[shape] for shape in sorted(acc) if not acc[shape].coeff.is_zero]
-        return IntegrandSum(kept)
+        # from a list: tuple() of a generator resizes as it grows, fragmenting the heap
+        self.terms = tuple([acc[s] for s in sorted(acc) if not acc[s].coeff.is_zero])
+
+    def normalize(self) -> "IntegrandSum":
+        """The canonical form: the sum itself, as every sum is built canonical."""
+        return self
 
     @property
     def is_zero(self) -> bool:
-        return not self.normalize().terms
+        return not self.terms
 
     def __add__(self, other: "IntegrandSum") -> "IntegrandSum":
-        return IntegrandSum(self.terms + other.terms).normalize()
+        return IntegrandSum(self.terms + other.terms)
 
     def __neg__(self) -> "IntegrandSum":
         return self.scale(-1)
@@ -146,21 +147,21 @@ class IntegrandSum:
         return self + (-other)
 
     def scale(self, factor: ValuePoly | RationalLike) -> "IntegrandSum":
-        return IntegrandSum(t.scaled(factor) for t in self.terms).normalize()
+        return IntegrandSum(t.scaled(factor) for t in self.terms)
 
     def substitute(self, bindings) -> "IntegrandSum":
         """Apply a ring substitution to every coefficient."""
         return IntegrandSum(
             IntegrandMonomial(t.m, t.n, t.p, t.q, t.coeff.substitute(bindings))
-            for t in self.terms).normalize()
+            for t in self.terms)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, IntegrandSum):
             return NotImplemented
-        return self.normalize().terms == other.normalize().terms
+        return self.terms == other.terms
 
     def __hash__(self) -> int:
-        return hash(self.normalize().terms)
+        return hash(self.terms)
 
     def __iter__(self):
         return iter(self.terms)
@@ -173,7 +174,7 @@ class IntegrandSum:
 
 
 def integrand_sum(*terms: IntegrandMonomial) -> IntegrandSum:
-    return IntegrandSum(terms).normalize()
+    return IntegrandSum(terms)
 
 
 def local_value(m: int = 0, n: int = 0, p: int = 0) -> ValuePoly:

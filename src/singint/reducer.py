@@ -60,7 +60,7 @@ class ReductionTrace(NamedTuple):
 
     def replay(self, start: IntegrandSum) -> State:
         """Re-run every recorded rule from `start`; raise if a step differs."""
-        state: State = (ZERO, start.normalize())
+        state: State = (ZERO, start)
         for step in self.steps:
             if step.before != state:
                 raise RuleError(f"trace break at rule {step.rule!r}")
@@ -86,7 +86,7 @@ def substitute_field_equation(s: IntegrandSum) -> IntegrandSum:
             coef = t.coeff * Fraction((-1) ** j * binom) * ValuePoly.monomial(1, w=2 * (t.p - j))
             out.append(mono(t.m + t.p - j, t.n, 0, t.q + j, coef))
             binom = binom * (t.p - j) // (j + 1)
-    return IntegrandSum(out).normalize()
+    return IntegrandSum(out)
 
 
 def eval_dirac_squared(s: IntegrandSum) -> tuple[ValuePoly, IntegrandSum]:
@@ -102,7 +102,7 @@ def eval_dirac_squared(s: IntegrandSum) -> tuple[ValuePoly, IntegrandSum]:
             value = value + t.coeff * local_value(t.m, t.n) * D0
         else:
             rest.append(t)
-    return value, IntegrandSum(rest).normalize()
+    return value, IntegrandSum(rest)
 
 
 def eval_dirac(s: IntegrandSum) -> tuple[ValuePoly, IntegrandSum]:
@@ -118,7 +118,7 @@ def eval_dirac(s: IntegrandSum) -> tuple[ValuePoly, IntegrandSum]:
             value = value + t.coeff * local_value(t.m, t.n)
         else:
             rest.append(t)
-    return value, IntegrandSum(rest).normalize()
+    return value, IntegrandSum(rest)
 
 
 def drop_odd_orientation(s: IntegrandSum) -> IntegrandSum:
@@ -129,7 +129,7 @@ def drop_odd_orientation(s: IntegrandSum) -> IntegrandSum:
             raise RuleError("parity rule applies after delta elimination")
         if t.n % 2 == 0:
             kept.append(t)
-    return IntegrandSum(kept).normalize()
+    return IntegrandSum(kept)
 
 
 _W_SQUARED = ValuePoly.monomial(1, w=2)
@@ -156,7 +156,7 @@ def ibp_step(t: IntegrandMonomial) -> IntegrandSum:
     if t.n == 2:
         out.append(mono(t.m + 1, 0, 0, 1, t.coeff * ratio))
     out.append(mono(t.m + 2, t.n - 2, 0, 0, t.coeff * (-ratio) * _W_SQUARED))
-    return IntegrandSum(out).normalize()
+    return IntegrandSum(out)
 
 
 def base_integral(m: int) -> ValuePoly:
@@ -200,7 +200,7 @@ def _ibp(state: State) -> State:
             rewritten.extend(ibp_step(t))
         else:
             rewritten.append(t)
-    return value, IntegrandSum(rewritten).normalize()
+    return value, IntegrandSum(rewritten)
 
 
 def _base(state: State) -> State:
@@ -229,19 +229,17 @@ def reduce(s: IntegrandSum) -> tuple[ValuePoly, ReductionTrace]:
     from the equation-of-motion expansion.  Linear in the input by
     construction: every rule rewrites terms independently.
     """
-    pending = s.normalize()
-    for t in pending:
+    for t in s:
         if t.is_bare_measure:
             raise RuleError("divergent bare measure: term without any factor")
         if t.q > 2:
             raise RuleError(f"no rule for delta^{t.q}")
 
     steps: list[TraceStep] = []
-    state: State = (ZERO, pending)
+    state: State = (ZERO, s)
 
     def advance(rule: str) -> None:
         nonlocal state
-        # every rule returns a normalized sum, so the terms compare directly
         new_value, new_pending = RULES[rule](state)
         if new_value != state[0] or new_pending.terms != state[1].terms:
             after = (new_value, new_pending)

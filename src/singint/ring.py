@@ -26,8 +26,8 @@ Exponents = tuple[int, int, int, int]
 
 RationalLike = Union[int, Fraction]
 
-_SYMBOLS = ("w", "d0", "a", "g")
-_SYMBOL_INDEX = {name: i for i, name in enumerate(_SYMBOLS)}
+SYMBOL_NAMES = ("w", "d0", "a", "g")
+_SYMBOL_INDEX = {name: i for i, name in enumerate(SYMBOL_NAMES)}
 
 
 def _as_fraction(value: RationalLike) -> Fraction:
@@ -45,15 +45,13 @@ class ValuePoly:
 
     def __init__(self, terms: Mapping[Exponents, RationalLike] | None = None):
         clean: dict[Exponents, Fraction] = {}
-        if terms:
-            for exps, coef in terms.items():
-                kw, kd0, ka, kg = exps
-                if kd0 < 0 or ka < 0 or kg < 0:
-                    raise ValueError(f"negative exponent for d0/a/g in {exps}")
-                frac = _as_fraction(coef)
-                if frac:
-                    clean[(kw, kd0, ka, kg)] = clean.get(exps, Fraction(0)) + frac
-            clean = {e: c for e, c in clean.items() if c}
+        for exps, coef in (terms or {}).items():
+            kw, kd0, ka, kg = exps
+            if kd0 < 0 or ka < 0 or kg < 0:
+                raise ValueError(f"negative exponent for d0/a/g in {exps}")
+            frac = _as_fraction(coef)
+            if frac:
+                clean[(kw, kd0, ka, kg)] = frac
         self._terms = clean
 
     # -- constructors ------------------------------------------------------

@@ -291,7 +291,7 @@ def diagram_classes(order: int) -> list[DiagramClass]:
 
 def order_contribution(classes: Iterable[DiagramClass]
                        ) -> tuple[ValuePoly, IntegrandSum]:
-    """(local scalar part, normalized nonlocal integrand) summed over `classes`."""
+    """(local scalar part, nonlocal integrand) summed over `classes`; sums are canonical."""
     local_total = ZERO
     nonlocal_terms: list[IntegrandMonomial] = []
     for cls in classes:
@@ -300,4 +300,4 @@ def order_contribution(classes: Iterable[DiagramClass]
             local_total = local_total + weight
         else:
             nonlocal_terms.append(monomial.scaled(weight))
-    return local_total, IntegrandSum(nonlocal_terms).normalize()
+    return local_total, IntegrandSum(nonlocal_terms)

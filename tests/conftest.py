@@ -1,10 +1,10 @@
-"""Shared hypothesis strategies for randomized algebra tests."""
+"""Shared hypothesis strategies and reference helpers for the tests."""
 
 from fractions import Fraction
 
 from hypothesis import strategies as st
 
-from singint import IntegrandMonomial, IntegrandSum, ValuePoly
+from singint import ZERO, IntegrandMonomial, IntegrandSum, ValuePoly, mono
 
 
 def rationals(max_num: int = 30, max_den: int = 12) -> st.SearchStrategy[Fraction]:
@@ -73,3 +73,22 @@ def reducible_sums(draw, max_terms: int = 4) -> IntegrandSum:
         lambda t: t.p + t.q <= 2)
     terms = draw(st.lists(term, min_size=0, max_size=max_terms))
     return IntegrandSum(tuple(terms))
+
+
+def merge_then_sort(terms):
+    """Plain canonical-form reference: add every coefficient into its shape, sort, drop zeros."""
+    merged = {}
+    for t in terms:
+        merged[t.shape] = merged.get(t.shape, ZERO) + t.coeff
+    return [IntegrandMonomial(*shape, coeff)
+            for shape, coeff in sorted(merged.items()) if not coeff.is_zero]
+
+
+def total_derivative(m: int, n: int) -> IntegrandSum:
+    """d/dt (D^m dD^n) = m D^(m-1) dD^(n+1) + n D^m dD^(n-1) ddD."""
+    terms = []
+    if m:
+        terms.append(mono(m - 1, n + 1, 0, 0, coeff=m))
+    if n:
+        terms.append(mono(m, n - 1, 1, 0, coeff=n))
+    return IntegrandSum(terms)

@@ -66,6 +66,8 @@ def test_parse_errors_carry_columns():
         ("2 @ D", 3),
         ("D D / 2", 5),
         ("2 * + D", 5),
+        ("9" * 4400, 1),  # past Python's int/str digit limit (4300 by default)
+        ("D^" + "9" * 4400, 3),
     ]
     for text, column in cases:
         with pytest.raises(ParseError) as err:
@@ -143,6 +145,17 @@ def test_reduce_command_parse_error_exit_2(capsys):
     assert code == 2
     assert "parse error" in err
     assert "column" in err
+
+
+def test_reduce_command_result_too_long_to_print_exit_2(capsys):
+    # D^20000 reduces to 2^-19999/20000 w^-20001, a denominator past the
+    # digit limit of int-to-str conversion
+    for argv in (["reduce", "D^20000"], ["reduce", "--json", "D^20000"]):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
 
 
 def test_identities_command(capsys):

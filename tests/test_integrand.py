@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import integrand_sums, value_polys
+from conftest import integrand_monomials, integrand_sums, merge_then_sort, value_polys
 from singint import (D0, ZERO, D_AT_ZERO, DDDOT_AT_ZERO, DDOT_AT_ZERO,
                      IntegrandMonomial, IntegrandSum, ValuePoly,
                      integrand_sum, mono, reduce)
@@ -143,55 +143,47 @@ def test_normalize_respects_addition(x, y):
     assert (x + y).normalize() == (x.normalize() + y.normalize()).normalize()
 
 
-def _merge_then_sort(s):
-    # plain reference: add every coefficient into its shape, sort, drop zeros
-    merged = {}
-    for t in s.terms:
-        merged[t.shape] = merged.get(t.shape, ZERO) + t.coeff
-    return [IntegrandMonomial(*shape, coeff)
-            for shape, coeff in sorted(merged.items()) if not coeff.is_zero]
-
-
 _FEW_SHAPES = st.sampled_from([(1, 0, 0, 0), (0, 2, 0, 0), (2, 1, 0, 1), (0, 0, 1, 0)])
 
 
 @st.composite
-def _sums_with_repeats(draw):
+def _terms_with_repeats(draw):
     terms = [IntegrandMonomial(*draw(_FEW_SHAPES), coeff=draw(value_polys(max_terms=2)))
              for _ in range(draw(st.integers(min_value=0, max_value=6)))]
     if terms:
         # cancel some terms exactly
         for t in draw(st.lists(st.sampled_from(terms), max_size=3)):
             terms.append(IntegrandMonomial(*t.shape, coeff=-t.coeff))
-    return IntegrandSum(draw(st.permutations(terms)))
+    return draw(st.permutations(terms))
 
 
-def _check_against_reference(s):
-    assert list(s.normalize().terms) == _merge_then_sort(s)
+def _check_against_reference(terms):
+    # the constructor alone must produce the canonical form from raw terms
+    assert list(IntegrandSum(terms).terms) == merge_then_sort(terms)
 
 
-@given(_sums_with_repeats())
+@given(_terms_with_repeats())
 @settings(max_examples=300, deadline=None)
-def test_normalize_matches_merge_then_sort_with_repeats(s):
-    _check_against_reference(s)
+def test_normalize_matches_merge_then_sort_with_repeats(terms):
+    _check_against_reference(terms)
 
 
-@given(integrand_sums(max_terms=6))
+@given(st.lists(integrand_monomials(), max_size=6))
 @settings(max_examples=200, deadline=None)
-def test_normalize_matches_merge_then_sort(s):
-    _check_against_reference(s)
+def test_normalize_matches_merge_then_sort(terms):
+    _check_against_reference(terms)
 
 
 def test_normalize_keeps_distinct_shapes_and_cancels_pairs():
-    distinct = IntegrandSum([mono(2, 0, 0, 0, coeff=3), mono(0, 2, 0, 0, coeff=-1),
-                             mono(1, 0, 0, 1, coeff=D0)])
+    distinct = [mono(2, 0, 0, 0, coeff=3), mono(0, 2, 0, 0, coeff=-1),
+                mono(1, 0, 0, 1, coeff=D0)]
     _check_against_reference(distinct)
-    assert [t.shape for t in distinct.normalize()] == [
+    assert [t.shape for t in IntegrandSum(distinct)] == [
         (0, 2, 0, 0), (1, 0, 0, 1), (2, 0, 0, 0)]
-    cancelling = IntegrandSum([mono(1, 0, 0, 0, coeff=D0), mono(0, 2, 0, 0),
-                               mono(1, 0, 0, 0, coeff=-D0)])
+    cancelling = [mono(1, 0, 0, 0, coeff=D0), mono(0, 2, 0, 0),
+                  mono(1, 0, 0, 0, coeff=-D0)]
     _check_against_reference(cancelling)
-    assert [t.shape for t in cancelling.normalize()] == [(0, 2, 0, 0)]
+    assert [t.shape for t in IntegrandSum(cancelling)] == [(0, 2, 0, 0)]
 
 
 @pytest.mark.parametrize("text, rules, value", [
@@ -207,8 +199,11 @@ def test_reduction_steps_unchanged_under_reference_normalize(monkeypatch, text, 
     got_value, got_trace = reduce(parse(text))
     assert [step.rule for step in got_trace.steps] == rules
     assert got_value.render() == value
-    monkeypatch.setattr(IntegrandSum, "normalize",
-                        lambda self: IntegrandSum(_merge_then_sort(self)))
+
+    def reference_init(self, terms=()):
+        self.terms = tuple(merge_then_sort(terms))
+
+    monkeypatch.setattr(IntegrandSum, "__init__", reference_init)
     ref_value, ref_trace = reduce(parse(text))
     assert got_value == ref_value
     assert _step_terms(got_trace) == _step_terms(ref_trace)

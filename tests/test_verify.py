@@ -4,9 +4,10 @@ from fractions import Fraction
 
 import pytest
 
-from singint import (D0, ZERO, D_AT_ZERO, ValuePoly, diagram_classes,
+from conftest import total_derivative
+from singint import (D0, ZERO, D_AT_ZERO, IntegrandSum, ValuePoly, diagram_classes,
                      diagram_identities, identity_suite, integrand, integrand_sum,
-                     mono, order_check, quadrature_oracle, reduce, wick)
+                     mono, order_check, quadrature_oracle, reduce, reducer, wick)
 from singint.verify import INT_D_FOURTH, INT_D_SQUARED, LEBESGUE_DD_FOURTH
 
 
@@ -104,6 +105,46 @@ def test_naive_equal_time_value_leaves_a_d0_residue(monkeypatch):
     # every residue term carries d0, so the Veltman convention hides the fault
     assert order_check(1, veltman=True).passed
     assert order_check(2, veltman=True).passed
+
+
+def test_variant_contact_rule_fixes_total_derivatives_but_breaks_order_2(monkeypatch):
+    # the variant keeps dD(0)^n alive for even n, as eps^n delta -> delta/(n+1)
+    # with dD = -eps e^(-w|t|)/2, and so emits the ibp contact term for every
+    # even n; only the reducer sees it, since swapping wick.local_value too
+    # breaks order 1 by -1/6 g
+    rule_local_value, rule_ibp_step = reducer.local_value, reducer.ibp_step
+
+    def variant_local_value(m=0, n=0, p=0):
+        if not n:
+            return rule_local_value(m, n, p)
+        if n % 2:
+            return ZERO
+        return rule_local_value(m, 0, p) * Fraction(1, 2 ** n * (n + 1))
+
+    def variant_ibp_step(t):
+        out = rule_ibp_step(t)
+        if t.n >= 4:
+            out = out + IntegrandSum([mono(t.m + 1, t.n - 2, 0, 1,
+                                           t.coeff * Fraction(t.n - 1, t.m + 1))])
+        return out
+
+    monkeypatch.setattr(reducer, "local_value", variant_local_value)
+    monkeypatch.setattr(reducer, "ibp_step", variant_ibp_step)
+
+    assert reduce(integrand_sum(mono(n=4)))[0] == LEBESGUE_DD_FOURTH
+    for m in range(9):
+        for n in range(1, 13):
+            assert reduce(total_derivative(m, n))[0].is_zero, (m, n)
+
+    # coordinate independence rejects the variant at order 2, by 1/12 g^2 w^-1
+    residue = ValuePoly.monomial(Fraction(1, 12), g=2, w=-1)
+    assert order_check(1).passed
+    for a_binding in (None, Fraction(1, 2)):
+        for veltman in (False, True):
+            assert order_check(2, a_binding=a_binding, veltman=veltman).actual == residue
+    failed = {c.name: c.actual - c.expected for c in diagram_identities() if not c.passed}
+    assert failed == {"local plus watermelon sum": residue,
+                      "bubbles cancel local plus watermelon": residue}
 
 
 def test_order_check_carries_a_trace_when_nonlocal():
