@@ -19,14 +19,24 @@ place that combines the constants below,
 
 so an IntegrandSum always describes genuinely nonlocal content plus exact
 ring coefficients, and it is canonical on construction: no caller normalizes.
+
+`parse` reads and `render_sum` writes the integrand expression language,
+e.g. "dD^2 + w^2 D^2" or "-3/32 w^-1 dD^4": whitespace or '*' separates
+atoms, '+'/'-' joins terms.
+
+    factors   D  dD  ddD  delta          optional '^' nonnegative power
+    symbols   w  d0  a  g                'w' admits negative powers
+    numbers   integers and fractions     e.g. 3, 1/2, 3/32
 """
 
 from __future__ import annotations
 
+import re
+import sys
 from fractions import Fraction
 from typing import Iterable
 
-from .ring import D0, ZERO, RationalLike, ValuePoly
+from .ring import D0, SYMBOL_NAMES, ZERO, RationalLike, ValuePoly, render_signed
 
 Shape = tuple[int, int, int, int]
 
@@ -186,3 +196,146 @@ def local_value(m: int = 0, n: int = 0, p: int = 0) -> ValuePoly:
     if not m:
         return DDDOT_AT_ZERO ** p
     return D_AT_ZERO ** m * DDDOT_AT_ZERO ** p
+
+
+class ParseError(ValueError):
+    def __init__(self, message: str, column: int):
+        super().__init__(f"{message} (column {column})")
+        self.column = column
+
+
+_TOKEN_RE = re.compile(r"(?P<num>\d+)|(?P<name>[A-Za-z][A-Za-z0-9]*)|(?P<op>[\^+\-*/])|(?P<bad>\S)")
+
+
+def _tokenize(text: str) -> list[tuple[str, str, int]]:
+    max_digits = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
+    tokens = []
+    for match in _TOKEN_RE.finditer(text):
+        column = match.start() + 1
+        if match.lastgroup == "bad":
+            raise ParseError(f"unexpected character {match.group()!r}", column)
+        if match.lastgroup == "num" and max_digits and len(match.group()) > max_digits:
+            raise ParseError(f"number longer than {max_digits} digits", column)
+        tokens.append((match.lastgroup, match.group(), column))
+    tokens.append(("end", "", len(text) + 1))
+    return tokens
+
+
+class _Parser:
+    """Recursive-descent parser lowering expressions to IntegrandSum."""
+
+    def __init__(self, text: str):
+        self.tokens = _tokenize(text)
+        self.pos = 0
+
+    def peek(self) -> tuple[str, str, int]:
+        return self.tokens[self.pos]
+
+    def advance(self) -> tuple[str, str, int]:
+        tok = self.tokens[self.pos]
+        self.pos += 1
+        return tok
+
+    def parse(self) -> IntegrandSum:
+        terms = [self.parse_term(self._leading_sign())]
+        while True:
+            kind, text, column = self.peek()
+            if kind == "end":
+                break
+            if kind == "op" and text in "+-":
+                self.advance()
+                terms.append(self.parse_term(-1 if text == "-" else 1))
+            else:
+                raise ParseError(f"expected '+' or '-' before {text!r}", column)
+        return IntegrandSum(terms)
+
+    def _leading_sign(self) -> int:
+        kind, text, _ = self.peek()
+        if kind == "op" and text in "+-":
+            self.advance()
+            return -1 if text == "-" else 1
+        return 1
+
+    def parse_term(self, sign: int) -> IntegrandMonomial:
+        coeff = ValuePoly.rational(sign)
+        powers = {name: 0 for name in FACTOR_NAMES}
+        saw_atom = False
+        while True:
+            kind, text, column = self.peek()
+            if kind == "num":
+                coeff = coeff * self._rational()
+            elif kind == "name":
+                coeff = self._named_atom(coeff, powers)
+            elif kind == "op" and text == "*":
+                self.advance()
+                nxt_kind, nxt_text, nxt_col = self.peek()
+                if nxt_kind not in ("num", "name"):
+                    raise ParseError(f"expected a factor after '*', found {nxt_text or 'end'!r}", nxt_col)
+                continue
+            else:
+                break
+            saw_atom = True
+        if not saw_atom:
+            kind, text, column = self.peek()
+            raise ParseError(f"expected a term, found {text or 'end'!r}", column)
+        return IntegrandMonomial(powers["D"], powers["dD"], powers["ddD"],
+                                 powers["delta"], coeff)
+
+    def _rational(self) -> Fraction:
+        _, text, _ = self.advance()
+        value = Fraction(int(text))
+        kind, op, _ = self.peek()
+        if kind == "op" and op == "/":
+            self.advance()
+            dkind, dtext, dcol = self.peek()
+            if dkind != "num":
+                raise ParseError("expected a denominator", dcol)
+            self.advance()
+            if int(dtext) == 0:
+                raise ParseError("zero denominator", dcol)
+            value /= int(dtext)
+        return value
+
+    def _power(self) -> int:
+        kind, text, _ = self.peek()
+        if not (kind == "op" and text == "^"):
+            return 1
+        self.advance()
+        negative = False
+        kind, text, column = self.peek()
+        if kind == "op" and text == "-":
+            negative = True
+            self.advance()
+            kind, text, column = self.peek()
+        if kind != "num":
+            raise ParseError("expected an integer power after '^'", column)
+        self.advance()
+        value = int(text)
+        return -value if negative else value
+
+    def _named_atom(self, coeff: ValuePoly, powers: dict[str, int]) -> ValuePoly:
+        _, name, column = self.advance()
+        if name not in FACTOR_NAMES and name not in SYMBOL_NAMES:
+            raise ParseError(f"unknown symbol {name!r}", column)
+        power = self._power()
+        if name != "w" and power < 0:
+            raise ParseError(f"negative power of {name}", column)
+        if name in FACTOR_NAMES:
+            powers[name] += power
+            return coeff
+        return coeff * ValuePoly.monomial(1, **{name: power})
+
+
+def parse(text: str) -> IntegrandSum:
+    """Parse the mini-language into a canonical IntegrandSum."""
+    return _Parser(text).parse()
+
+
+def render_sum(s: IntegrandSum) -> str:
+    """Text of a sum, canonical as every sum is; parse(render_sum(s)) == s."""
+    terms = []
+    for term in s:
+        factors = term.factors_text()
+        terms.extend((coef, words + [factors] if factors else words)
+                     for coef, words in term.coeff.render_terms())
+    return render_signed(terms)

@@ -45,6 +45,11 @@ class RuleError(ValueError):
     """An input or intermediate term has no rule in the system."""
 
 
+# bound on m+n+p+q summed over all input terms, as a per-term bound leaves long
+# sums unbounded; rule cost grows with the powers (2^m in the base integral)
+MAX_INPUT_POWER = 4096
+
+
 # (accumulated value, residual integrand) at one point of the pipeline
 State = tuple[ValuePoly, IntegrandSum]
 
@@ -225,15 +230,17 @@ def reduce(s: IntegrandSum) -> tuple[ValuePoly, ReductionTrace]:
     """Reduce an integrand sum to its exact ring value.
 
     Raises RuleError for the divergent bare-measure term (0,0,0,0), for
-    delta powers above 2 in the input, and for delta^3 products arising
-    from the equation-of-motion expansion.  Linear in the input by
-    construction: every rule rewrites terms independently.
+    inputs with a delta power above 2 or powers summing past MAX_INPUT_POWER,
+    and for delta^3 products arising from the equation-of-motion expansion.
+    Linear in the input by construction: every rule rewrites terms independently.
     """
     for t in s:
         if t.is_bare_measure:
             raise RuleError("divergent bare measure: term without any factor")
         if t.q > 2:
             raise RuleError(f"no rule for delta^{t.q}")
+    if sum(t.m + t.n + t.p + t.q for t in s) > MAX_INPUT_POWER:
+        raise RuleError(f"factor powers of the input sum past {MAX_INPUT_POWER}")
 
     steps: list[TraceStep] = []
     state: State = (ZERO, s)

@@ -18,6 +18,7 @@ them: they only drop the coefficients that cancelled.
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Union
 
@@ -208,7 +209,11 @@ def render_signed(terms: Iterable[tuple[Fraction, list[str]]]) -> str:
     parts: list[str] = []
     for coef, words in terms:
         mag = abs(coef)
-        text = " ".join(words) if mag == 1 and words else " ".join([str(mag), *words])
+        try:
+            text = " ".join(words) if mag == 1 and words else " ".join([str(mag), *words])
+        except ValueError:  # past the int-to-str digit limit
+            limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+            raise ValueError(f"a number in the output has more than {limit} digits") from None
         if parts:
             parts.append(("+ " if coef > 0 else "- ") + text)
         else:

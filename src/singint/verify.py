@@ -7,6 +7,8 @@ that no check compares the reducer against itself:
     integral D^2    = w^-3 / 4
     integral D^4    = w^-5 / 32
 
+Each identity reduces `parse(name)`: its name is the integrand it checks.
+
 The quadrature oracle integrates the explicit exponential form of the
 absolutely convergent integrands numerically and is the one path that never
 touches the symbolic engine.
@@ -18,7 +20,7 @@ from fractions import Fraction
 from math import exp
 from typing import Iterable, NamedTuple
 
-from .integrand import D_AT_ZERO, IntegrandSum, integrand_sum, mono
+from .integrand import D_AT_ZERO, parse
 from .reducer import ReductionTrace, reduce
 from .ring import D0, G, W, ZERO, RationalLike, ValuePoly
 from .wick import DiagramClass, diagram_classes, order_contribution
@@ -46,53 +48,25 @@ def _check(name: str, expected: ValuePoly, actual: ValuePoly,
                        passed=(expected - actual).is_zero, trace=trace)
 
 
-def _reduced(name: str, s: IntegrandSum, expected: ValuePoly) -> CheckResult:
-    actual, trace = reduce(s)
-    return _check(name, expected, actual, trace)
-
-
 def identity_suite() -> list[CheckResult]:
-    """Exact reductions of the named two- and four-line integrands."""
+    """Exact reductions of two- and four-line integrands, each named by its expression."""
     w2 = W * W
     w4 = w2 * w2
-    reduced = [
-        _reduced("dD^2 + w^2 D^2",
-                 integrand_sum(mono(n=2), mono(m=2, coeff=w2)),
-                 D_AT_ZERO),
-        _reduced("ddD^2 + 2 w^2 dD^2 + w^4 D^2",
-                 integrand_sum(mono(p=2), mono(n=2, coeff=2 * w2), mono(m=2, coeff=w4)),
-                 D0),
-        _reduced("ddD D^3",
-                 integrand_sum(mono(m=3, p=1)),
-                 -(D_AT_ZERO ** 3) + w2 * INT_D_FOURTH),
-        _reduced("dD^2 D^2",
-                 integrand_sum(mono(m=2, n=2)),
-                 Fraction(1, 3) * D_AT_ZERO ** 3 - Fraction(1, 3) * w2 * INT_D_FOURTH),
-        _reduced("ddD^2 D^2",
-                 integrand_sum(mono(m=2, p=2)),
-                 D0 * D_AT_ZERO ** 2 - 2 * w2 * D_AT_ZERO ** 3 + w4 * INT_D_FOURTH),
-        _reduced("ddD dD^2 D",
-                 integrand_sum(mono(m=1, n=2, p=1)),
-                 ValuePoly.monomial(Fraction(1, 32), w=-1)),
-        _reduced("dD^4",
-                 integrand_sum(mono(n=4)),
-                 ValuePoly.monomial(Fraction(-3, 32), w=-1)),
-        _reduced("delta",
-                 integrand_sum(mono(q=1)),
-                 ValuePoly.rational(1)),
-        _reduced("delta D^3",
-                 integrand_sum(mono(m=3, q=1)),
-                 D_AT_ZERO ** 3),
-        _reduced("delta^2",
-                 integrand_sum(mono(q=2)),
-                 D0),
-        _reduced("delta^2 D^2",
-                 integrand_sum(mono(m=2, q=2)),
-                 D0 * D_AT_ZERO ** 2),
-        _reduced("delta^2 dD^2",
-                 integrand_sum(mono(n=2, q=2)),
-                 ZERO),
+    rows = [
+        ("dD^2 + w^2 D^2", D_AT_ZERO),
+        ("ddD^2 + 2 w^2 dD^2 + w^4 D^2", D0),
+        ("ddD D^3", -(D_AT_ZERO ** 3) + w2 * INT_D_FOURTH),
+        ("dD^2 D^2", Fraction(1, 3) * D_AT_ZERO ** 3 - Fraction(1, 3) * w2 * INT_D_FOURTH),
+        ("ddD^2 D^2", D0 * D_AT_ZERO ** 2 - 2 * w2 * D_AT_ZERO ** 3 + w4 * INT_D_FOURTH),
+        ("ddD dD^2 D", ValuePoly.monomial(Fraction(1, 32), w=-1)),
+        ("dD^4", ValuePoly.monomial(Fraction(-3, 32), w=-1)),
+        ("delta", ValuePoly.rational(1)),
+        ("delta D^3", D_AT_ZERO ** 3),
+        ("delta^2", D0),
+        ("delta^2 D^2", D0 * D_AT_ZERO ** 2),
+        ("delta^2 dD^2", ZERO),
     ]
+    reduced = [_check(text, expected, *reduce(parse(text))) for text, expected in rows]
     # cross-derivations compare values the suite has already reduced; they
     # are listed after the sixth row, "ddD dD^2 D"
     value = {check.name: check.actual for check in reduced}

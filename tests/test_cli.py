@@ -138,6 +138,11 @@ def test_reduce_command_rule_error_exit_2(capsys):
     code, _, err = run(capsys, "reduce", "1")
     assert code == 2
     assert "bare measure" in err
+    code, out, err = run(capsys, "reduce", "D^99999999999")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "4096" in err
 
 
 def test_reduce_command_parse_error_exit_2(capsys):
@@ -148,14 +153,17 @@ def test_reduce_command_parse_error_exit_2(capsys):
 
 
 def test_reduce_command_result_too_long_to_print_exit_2(capsys):
-    # D^20000 reduces to 2^-19999/20000 w^-20001, a denominator past the
-    # digit limit of int-to-str conversion
-    for argv in (["reduce", "D^20000"], ["reduce", "--json", "D^20000"]):
-        code, out, err = run(capsys, *argv)
-        assert code == 2
-        assert out == ""
-        assert err.startswith("error: ") and err.count("\n") == 1
-        assert "Traceback" not in err
+    # D^20000 is past the input power bound; the product of two 3000-digit
+    # literals is under it, but past the digit limit of int-to-str conversion
+    big = "7" * 3000
+    for expression in ("D^20000", f"{big} {big} D"):
+        for argv in (["reduce", expression], ["reduce", "--json", expression]):
+            code, out, err = run(capsys, *argv)
+            assert code == 2
+            assert out == ""
+            assert err.startswith("error: ") and err.count("\n") == 1
+            assert "Traceback" not in err
+            assert "set_int_max_str_digits" not in err
 
 
 def test_identities_command(capsys):

@@ -132,15 +132,14 @@ def test_equality_ignores_term_order_and_zero_terms():
 @given(integrand_sums())
 @settings(max_examples=200, deadline=None)
 def test_normalize_idempotent_small(s):
-    once = s.normalize()
-    assert once.normalize() == once
-    assert once == s.normalize()
+    # rebuilding a canonical sum from its terms, in any order, changes nothing
+    assert IntegrandSum(reversed(s.terms)).terms == s.terms
 
 
 @given(integrand_sums(), integrand_sums())
 @settings(max_examples=150, deadline=None)
 def test_normalize_respects_addition(x, y):
-    assert (x + y).normalize() == (x.normalize() + y.normalize()).normalize()
+    assert (x + y).terms == tuple(merge_then_sort(x.terms + y.terms))
 
 
 _FEW_SHAPES = st.sampled_from([(1, 0, 0, 0), (0, 2, 0, 0), (2, 1, 0, 1), (0, 0, 1, 0)])

@@ -10,8 +10,9 @@ from conftest import (integrand_sums, merge_then_sort, rationals, reducible_sums
 from singint import (D0, ZERO, D_AT_ZERO, IntegrandSum, ReductionTrace,
                      RuleError, TraceStep, ValuePoly, base_integral,
                      eval_dirac, eval_dirac_squared, ibp_step, integrand_sum,
-                     mono, reduce, substitute_field_equation, wpow)
-from singint.reducer import RULES
+                     mono, reduce, reducer, substitute_field_equation, wpow)
+from singint.integrand import parse
+from singint.reducer import MAX_INPUT_POWER, RULES
 
 
 def value_of(*terms):
@@ -83,6 +84,20 @@ def test_reduce_rejects_undefined_inputs():
     with pytest.raises(RuleError, match="delta\\^3"):
         # field equation turns ddD delta^2 into a delta^3 product
         value_of(mono(0, 0, 1, 2))
+
+
+def test_reduce_bounds_the_summed_input_power(monkeypatch):
+    assert MAX_INPUT_POWER == 4096
+    assert reduce(parse("D^4096"))[0] == base_integral(4096)
+    assert not reduce(parse("dD^4094 D"))[0].is_zero
+    # a cancelling sum past p + q = 2 per term still reduces
+    assert reduce(parse("ddD^3 + ddD^2 delta"))[0].render() == "1/2 d0 w - 5/12 w^2"
+    # with no rules to run, only a check made before any rule can raise RuleError;
+    # each term of the last input is under the bound, their sum is not
+    monkeypatch.setattr(reducer, "RULES", {})
+    for text in ["D^99999999999", "D^4097", "D^2048 + dD^2049"]:
+        with pytest.raises(RuleError, match=f"past {MAX_INPUT_POWER}"):
+            reduce(parse(text))
 
 
 def test_reduce_empty_sum_is_zero():

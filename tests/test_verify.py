@@ -8,6 +8,7 @@ from conftest import total_derivative
 from singint import (D0, ZERO, D_AT_ZERO, IntegrandSum, ValuePoly, diagram_classes,
                      diagram_identities, identity_suite, integrand, integrand_sum,
                      mono, order_check, quadrature_oracle, reduce, reducer, wick)
+from singint.integrand import parse
 from singint.verify import INT_D_FOURTH, INT_D_SQUARED, LEBESGUE_DD_FOURTH
 
 
@@ -21,6 +22,13 @@ def test_identity_suite_all_pass():
     for needed in ["dD^2 + w^2 D^2", "ddD^2 + 2 w^2 dD^2 + w^4 D^2", "dD^4",
                    "delta^2", "delta^2 D^2", "ddD dD^2 D"]:
         assert needed in names
+
+
+def test_identity_suite_names_re_derive_their_values():
+    traced = [check for check in identity_suite() if check.trace is not None]
+    assert len(traced) == 12
+    for check in traced:
+        assert check.trace.replay(parse(check.name)) == (check.actual, IntegrandSum()), check.name
 
 
 def test_identity_suite_key_values():
