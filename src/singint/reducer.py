@@ -20,9 +20,9 @@ factor kind and never reintroduces an earlier one.
 How far that holds:
 
 - The total derivative of D^m dD^n integrates to 0 for m >= 1 (checked for
-  m <= 8, n <= 12).  With no D factor it need not: integral d/dt(dD^n) for
+  m <= 40, n <= 60).  With no D factor it need not: integral d/dt(dD^n) for
   odd n >= 3 reduces to a nonzero rational (1/4 for n = 3), because
-  dD(0) = 0 drops the delta term of n dD^(n-1) ddD.
+  dD(0) = 0 drops the delta term of n dD^(n-1) ddD; for even n it is 0.
 - The values agree with the Lebesgue integral on D^m and D^m dD^2, the
   sector the quadrature oracle checks, but not on every absolutely
   integrable product: dD^4 is bounded and decays, and reduces to

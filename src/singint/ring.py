@@ -190,7 +190,8 @@ class ValuePoly:
         for (kw, kd0, ka, kg), coef in sorted(
                 self._terms.items(), key=lambda it: (-it[0][3], -it[0][1], -it[0][2], -it[0][0])):
             symbols = (("g", kg), ("d0", kd0), ("a", ka), ("w", kw))
-            out.append((coef, [name if k == 1 else f"{name}^{k}" for name, k in symbols if k]))
+            out.append((coef, [name if k == 1 else f"{name}^{_digits(k)}"
+                               for name, k in symbols if k]))
         return out
 
     def render(self) -> str:
@@ -209,16 +210,21 @@ def render_signed(terms: Iterable[tuple[Fraction, list[str]]]) -> str:
     parts: list[str] = []
     for coef, words in terms:
         mag = abs(coef)
-        try:
-            text = " ".join(words) if mag == 1 and words else " ".join([str(mag), *words])
-        except ValueError:  # past the int-to-str digit limit
-            limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-            raise ValueError(f"a number in the output has more than {limit} digits") from None
+        text = " ".join(words) if mag == 1 and words else " ".join([_digits(mag), *words])
         if parts:
             parts.append(("+ " if coef > 0 else "- ") + text)
         else:
             parts.append(text if coef > 0 else "-" + text)
     return " ".join(parts) if parts else "0"
+
+
+def _digits(number: int | Fraction) -> str:
+    """str(number), or a one-line ValueError past the int-to-str digit limit."""
+    try:
+        return str(number)
+    except ValueError:
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        raise ValueError(f"a number in the output has more than {limit} digits") from None
 
 
 def _canonical(terms: dict[Exponents, Fraction]) -> ValuePoly:

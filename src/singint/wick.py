@@ -36,6 +36,12 @@ call builds the fields of each distinct counter once and shares them between
 the matchings that reach it.  The ring is commutative, so the equal-time
 factor depends only on the counts of the self-pair kinds (qq, qdot q,
 qdot qdot), and each call builds it once per distinct count.
+
+A call with 10 or more legs also builds the completions of each 6-leg
+remainder once and joins every later prefix that leaves the same remainder
+to them: in a 12-leg call 693 prefixes reach only 84 remainders.  The memo
+is a local of the call.  Below 10 legs no remainder repeats, so it is not
+used there.
 """
 
 from __future__ import annotations
@@ -118,12 +124,19 @@ _FIELDS = _FLIP_FIELD + 1
 
 
 def _extend(rest: tuple[int, ...], pairing: tuple, acc: int,
-            table: list[list], leaf: Callable[[tuple, int], None]) -> None:
+            table: list[list], leaf: Callable[[tuple, int], None],
+            memo: dict | None = None) -> None:
     """Pass every completion of `pairing` over the leg indices `rest` to `leaf`.
 
     Completions come in `perfect_matchings` order, each with `acc` plus the
     deltas of the pairs it adds.  `rest` is ascending, so `table[i][j]`
     holds the (pair, delta) of legs i < j.
+
+    With a `memo`, the 15 completions of each 6-leg remainder are built once,
+    as (tail pairs, tail delta), and every later prefix that leaves the same
+    remainder joins that list.  A 12-leg call reaches 84 such remainders
+    from 693 prefixes, a 10-leg call 28 from 63, an 8-leg call each of its 7
+    once.  Memoizing 4- or 8-leg remainders instead was slower.
     """
     row = table[rest[0]]
     for i in range(1, len(rest)):
@@ -132,10 +145,24 @@ def _extend(rest: tuple[int, ...], pairing: tuple, acc: int,
         if len(remaining) == 2:
             last, last_delta = table[remaining[0]][remaining[1]]
             leaf(pairing + (pair, last), acc + delta + last_delta)
+        elif memo is not None and len(remaining) == 6:
+            tails = memo.get(remaining)
+            if tails is None:
+                tails = memo[remaining] = _tails(remaining, table)
+            prefix, base = pairing + (pair,), acc + delta
+            for tail, d in tails:
+                leaf(prefix + tail, base + d)
         elif remaining:
-            _extend(remaining, pairing + (pair,), acc + delta, table, leaf)
+            _extend(remaining, pairing + (pair,), acc + delta, table, leaf, memo)
         else:
             leaf(pairing + (pair,), acc + delta)
+
+
+def _tails(rest: tuple[int, ...], table: list[list]) -> list[tuple[tuple, int]]:
+    """Every completion over `rest` as (pairs, delta), in `perfect_matchings` order."""
+    tails: list[tuple[tuple, int]] = []
+    _extend(rest, (), 0, table, lambda tail, delta: tails.append((tail, delta)))
+    return tails
 
 
 def enumerate_contractions(v1: Vertex, v2: Vertex | None = None) -> list[Contraction]:
@@ -201,7 +228,9 @@ def enumerate_contractions(v1: Vertex, v2: Vertex | None = None) -> list[Contrac
         out.append(new(Contraction, (pairing, connected, integrand, local, selfs, sign)))
 
     if legs:
-        _extend(tuple(range(len(legs))), (), 0, table, leaf)
+        # the 6-leg tail memo lives for this call only; below 10 legs it never hits
+        memo = {} if len(legs) >= 10 else None
+        _extend(tuple(range(len(legs))), (), 0, table, leaf, memo)
     else:
         leaf((), 0)
     return out

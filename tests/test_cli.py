@@ -154,9 +154,13 @@ def test_reduce_command_parse_error_exit_2(capsys):
 
 def test_reduce_command_result_too_long_to_print_exit_2(capsys):
     # D^20000 is past the input power bound; the product of two 3000-digit
-    # literals is under it, but past the digit limit of int-to-str conversion
+    # literals is under it, but past the digit limit of int-to-str conversion,
+    # and so is the sum of two 4300-digit exponents of one ring symbol
     big = "7" * 3000
-    for expression in ("D^20000", f"{big} {big} D"):
+    nines = "9" * 4300
+    expressions = ["D^20000", f"{big} {big} D"]
+    expressions += [f"{name}^{nines} {name}^{nines} D" for name in ("w", "a", "d0", "g")]
+    for expression in expressions:
         for argv in (["reduce", expression], ["reduce", "--json", expression]):
             code, out, err = run(capsys, *argv)
             assert code == 2

@@ -188,7 +188,9 @@ def test_contractions_match_direct_recomputation():
 
 
 def test_contractions_come_in_perfect_matchings_order():
-    for v1, v2 in _checked_pairs():
+    v = {x.label: x for x in action_vertices(2)}
+    twelve_legs = [(v["qd2q4"], v["qd2q4"]), (v["q6"], v["q6"])]
+    for v1, v2 in _checked_pairs() + twelve_legs:
         legs = [(0, i, kind) for i, kind in enumerate(v1.legs)]
         if v2 is not None:
             legs += [(1, i, kind) for i, kind in enumerate(v2.legs)]
@@ -197,8 +199,9 @@ def test_contractions_come_in_perfect_matchings_order():
 
 
 def test_results_need_no_cycle_collector():
-    v = {x.label: x for x in action_vertices(1)}
+    v = {x.label: x for x in action_vertices(1) + action_vertices(2)}
     calls = [lambda: enumerate_contractions(v["qd2q2"], v["q4"]),
+             lambda: enumerate_contractions(v["q6"], v["qd2q4"]),
              lambda: diagram_classes(2),
              lambda: order_check(2)]
     was_enabled = gc.isenabled()
@@ -211,6 +214,18 @@ def test_results_need_no_cycle_collector():
     finally:
         if was_enabled:
             gc.enable()
+
+
+def test_no_pairing_outlives_its_call():
+    # the 6-leg tails of a 12-leg call are shared between its prefixes only:
+    # two live results of the same call hold no pairing or pair in common
+    v = {x.label: x for x in action_vertices(2)}
+    first = enumerate_contractions(v["qd2q4"], v["q6"])
+    again = enumerate_contractions(v["qd2q4"], v["q6"])
+    assert first == again
+    assert {id(c.pairing) for c in first}.isdisjoint(id(c.pairing) for c in again)
+    assert ({id(pair) for c in first for pair in c.pairing}
+            .isdisjoint(id(pair) for c in again for pair in c.pairing))
 
 
 def test_class_coefficients_are_multiplicity_times_prefactor_times_couplings():
