@@ -10,8 +10,8 @@ shape (0, 0, 0, 0) stands for coeff times the divergent bare measure
 integral dt * 1 and is never a valid reduction input.
 
 Equal-time (local) factors are never stored as integrand factors: they are
-folded into coefficients at construction time by `local_value`, the one
-place that combines the constants below,
+folded into coefficients at construction time by `local_value` from the
+constants below,
 
     D_AT_ZERO     = w^-1 / 2
     DDOT_AT_ZERO  = 0            (the sign function vanishes at the origin)
@@ -21,22 +21,26 @@ so an IntegrandSum always describes genuinely nonlocal content plus exact
 ring coefficients, and it is canonical on construction: no caller normalizes.
 
 `parse` reads and `render_sum` writes the integrand expression language,
-e.g. "dD^2 + w^2 D^2" or "-3/32 w^-1 dD^4": whitespace or '*' separates
-atoms, '+'/'-' joins terms.
+e.g. "dD^2 + w^2 D^2" or "-3/32 w^-1 dD^4": whitespace separates atoms, a
+'*' may join two atoms of one term (never start one), '+'/'-' joins terms.
 
     factors   D  dD  ddD  delta          optional '^' nonnegative power
     symbols   w  d0  a  g                'w' admits negative powers
     numbers   integers and fractions     e.g. 3, 1/2, 3/32
+
+`parse` walks the tokens once.  It keeps each term as the data model stores
+it, a Fraction and one power per factor and symbol name, and builds the
+term's coefficient with one `ValuePoly.monomial` call at the term's end.
 """
 
 from __future__ import annotations
 
 import re
-import sys
 from fractions import Fraction
 from typing import Iterable
 
-from .ring import D0, SYMBOL_NAMES, ZERO, RationalLike, ValuePoly, render_signed
+from .ring import (D0, SYMBOL_NAMES, ZERO, RationalLike, ValuePoly, _max_str_digits,
+                   render_signed)
 
 Shape = tuple[int, int, int, int]
 
@@ -188,7 +192,12 @@ def integrand_sum(*terms: IntegrandMonomial) -> IntegrandSum:
 
 
 def local_value(m: int = 0, n: int = 0, p: int = 0) -> ValuePoly:
-    """D(0)^m * dD(0)^n * ddD(0)^p; the one place the equal-time constants are folded."""
+    """D(0)^m * dD(0)^n * ddD(0)^p, folded from D_AT_ZERO and DDDOT_AT_ZERO.
+
+    DDOT_AT_ZERO is never read: any dD power gives ZERO here, and
+    `reducer.ibp_step` encodes the same dD(0) = 0 by emitting its contact
+    term only for n = 2.  Changing the constant alone changes nothing.
+    """
     if n:
         return ZERO  # DDOT_AT_ZERO ** n
     if not p:
@@ -208,7 +217,7 @@ _TOKEN_RE = re.compile(r"(?P<num>\d+)|(?P<name>[A-Za-z][A-Za-z0-9]*)|(?P<op>[\^+
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
-    max_digits = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
+    max_digits = _max_str_digits()
     tokens = []
     for match in _TOKEN_RE.finditer(text):
         column = match.start() + 1
@@ -221,114 +230,71 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
     return tokens
 
 
-class _Parser:
-    """Recursive-descent parser lowering expressions to IntegrandSum."""
+def _integer(token: tuple[str, str, int], message: str) -> int:
+    """The integer a number token spells, or a ParseError at any other token."""
+    kind, text, column = token
+    if kind != "num":
+        raise ParseError(message, column)
+    return int(text)
 
-    def __init__(self, text: str):
-        self.tokens = _tokenize(text)
-        self.pos = 0
 
-    def peek(self) -> tuple[str, str, int]:
-        return self.tokens[self.pos]
-
-    def advance(self) -> tuple[str, str, int]:
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
-    def parse(self) -> IntegrandSum:
-        terms = [self.parse_term(self._leading_sign())]
-        while True:
-            kind, text, column = self.peek()
-            if kind == "end":
-                break
-            if kind == "op" and text in "+-":
-                self.advance()
-                terms.append(self.parse_term(-1 if text == "-" else 1))
-            else:
-                raise ParseError(f"expected '+' or '-' before {text!r}", column)
-        return IntegrandSum(terms)
-
-    def _leading_sign(self) -> int:
-        kind, text, _ = self.peek()
-        if kind == "op" and text in "+-":
-            self.advance()
-            return -1 if text == "-" else 1
-        return 1
-
-    def parse_term(self, sign: int) -> IntegrandMonomial:
-        coeff = ValuePoly.rational(sign)
-        powers = {name: 0 for name in FACTOR_NAMES}
+def parse(text: str) -> IntegrandSum:
+    """Parse the expression language into a canonical IntegrandSum, in one pass."""
+    tokens = _tokenize(text)
+    terms = []
+    i = 0
+    while True:
+        sign = tokens[i][1]
+        rational = Fraction(-1 if sign == "-" else 1)
+        if sign in ("+", "-"):  # optional before the first term, required after it
+            i += 1
+        powers = dict.fromkeys(FACTOR_NAMES + SYMBOL_NAMES, 0)
         saw_atom = False
         while True:
-            kind, text, column = self.peek()
+            kind, tok, column = tokens[i]
             if kind == "num":
-                coeff = coeff * self._rational()
+                denominator = 1
+                if tokens[i + 1][1] == "/":
+                    denominator = _integer(tokens[i + 2], "expected a denominator")
+                    if not denominator:
+                        raise ParseError("zero denominator", tokens[i + 2][2])
+                    i += 2
+                rational *= Fraction(int(tok), denominator)
+                i += 1
             elif kind == "name":
-                coeff = self._named_atom(coeff, powers)
-            elif kind == "op" and text == "*":
-                self.advance()
-                nxt_kind, nxt_text, nxt_col = self.peek()
-                if nxt_kind not in ("num", "name"):
-                    raise ParseError(f"expected a factor after '*', found {nxt_text or 'end'!r}", nxt_col)
+                if tok not in powers:
+                    raise ParseError(f"unknown symbol {tok!r}", column)
+                i += 1
+                power = 1
+                if tokens[i][1] == "^":
+                    negative = tokens[i + 1][1] == "-"
+                    i += 2 if negative else 1
+                    power = _integer(tokens[i], "expected an integer power after '^'")
+                    i += 1
+                    if negative:
+                        power = -power
+                    if power < 0 and tok != "w":
+                        raise ParseError(f"negative power of {tok}", column)
+                powers[tok] += power
+            elif tok == "*" and saw_atom:  # a '*' only joins two atoms of one term
+                after_kind, after, after_column = tokens[i + 1]
+                if after_kind not in ("num", "name"):
+                    raise ParseError(f"expected a factor after '*', found {after or 'end'!r}",
+                                     after_column)
+                i += 1
                 continue
             else:
                 break
             saw_atom = True
         if not saw_atom:
-            kind, text, column = self.peek()
-            raise ParseError(f"expected a term, found {text or 'end'!r}", column)
-        return IntegrandMonomial(powers["D"], powers["dD"], powers["ddD"],
-                                 powers["delta"], coeff)
-
-    def _rational(self) -> Fraction:
-        _, text, _ = self.advance()
-        value = Fraction(int(text))
-        kind, op, _ = self.peek()
-        if kind == "op" and op == "/":
-            self.advance()
-            dkind, dtext, dcol = self.peek()
-            if dkind != "num":
-                raise ParseError("expected a denominator", dcol)
-            self.advance()
-            if int(dtext) == 0:
-                raise ParseError("zero denominator", dcol)
-            value /= int(dtext)
-        return value
-
-    def _power(self) -> int:
-        kind, text, _ = self.peek()
-        if not (kind == "op" and text == "^"):
-            return 1
-        self.advance()
-        negative = False
-        kind, text, column = self.peek()
-        if kind == "op" and text == "-":
-            negative = True
-            self.advance()
-            kind, text, column = self.peek()
-        if kind != "num":
-            raise ParseError("expected an integer power after '^'", column)
-        self.advance()
-        value = int(text)
-        return -value if negative else value
-
-    def _named_atom(self, coeff: ValuePoly, powers: dict[str, int]) -> ValuePoly:
-        _, name, column = self.advance()
-        if name not in FACTOR_NAMES and name not in SYMBOL_NAMES:
-            raise ParseError(f"unknown symbol {name!r}", column)
-        power = self._power()
-        if name != "w" and power < 0:
-            raise ParseError(f"negative power of {name}", column)
-        if name in FACTOR_NAMES:
-            powers[name] += power
-            return coeff
-        return coeff * ValuePoly.monomial(1, **{name: power})
-
-
-def parse(text: str) -> IntegrandSum:
-    """Parse the mini-language into a canonical IntegrandSum."""
-    return _Parser(text).parse()
+            raise ParseError(f"expected a term, found {tok or 'end'!r}", column)
+        m, n, p, q, w, d0, a, g = powers.values()
+        coeff = ValuePoly.monomial(rational, w=w, d0=d0, a=a, g=g)
+        terms.append(IntegrandMonomial(m, n, p, q, coeff))
+        if kind == "end":
+            return IntegrandSum(terms)
+        if tok not in ("+", "-"):
+            raise ParseError(f"expected '+' or '-' before {tok!r}", column)
 
 
 def render_sum(s: IntegrandSum) -> str:

@@ -223,8 +223,13 @@ def _digits(number: int | Fraction) -> str:
     try:
         return str(number)
     except ValueError:
-        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        limit = _max_str_digits()
         raise ValueError(f"a number in the output has more than {limit} digits") from None
+
+
+def _max_str_digits() -> int:
+    """Python's int-to-str digit limit; 0 (no limit) where the interpreter has none."""
+    return getattr(sys, "get_int_max_str_digits", lambda: 0)()
 
 
 def _canonical(terms: dict[Exponents, Fraction]) -> ValuePoly:

@@ -52,28 +52,33 @@ def test_parse_repeated_factor_powers_accumulate():
 
 
 def test_parse_errors_carry_columns():
+    too_long = "number longer than 4300 digits"
     cases = [
-        ("", 1),
-        ("+", 2),
-        ("D +", 4),
-        ("D^", 3),
-        ("q", 1),
-        ("delta^-1", 1),
-        ("d0^-2", 1),
-        ("D^x", 3),
-        ("1/0", 3),
-        ("1/", 3),
-        ("2 @ D", 3),
-        ("D D / 2", 5),
-        ("2 * + D", 5),
-        ("9" * 4400, 1),  # past Python's int/str digit limit (4300 by default)
-        ("D^" + "9" * 4400, 3),
+        ("", 1, "expected a term, found 'end'"),
+        ("+", 2, "expected a term, found 'end'"),
+        ("D +", 4, "expected a term, found 'end'"),
+        ("D^", 3, "expected an integer power after '^'"),
+        ("q", 1, "unknown symbol 'q'"),
+        ("delta^-1", 1, "negative power of delta"),
+        ("d0^-2", 1, "negative power of d0"),
+        ("D^x", 3, "expected an integer power after '^'"),
+        ("1/0", 3, "zero denominator"),
+        ("1/", 3, "expected a denominator"),
+        ("2 @ D", 3, "unexpected character '@'"),
+        ("D D / 2", 5, "expected '+' or '-' before '/'"),
+        ("2 * + D", 5, "expected a factor after '*', found '+'"),
+        ("9" * 4400, 1, too_long),  # past Python's int/str digit limit (4300 by default)
+        ("D^" + "9" * 4400, 3, too_long),
+        # a '*' joins two atoms of one term; it never starts a term
+        ("* D", 1, "expected a term, found '*'"),
+        ("D + * D", 5, "expected a term, found '*'"),
+        ("- * 2 D", 3, "expected a term, found '*'"),
     ]
-    for text, column in cases:
+    for text, column, message in cases:
         with pytest.raises(ParseError) as err:
             parse(text)
         assert err.value.column == column, text
-        assert f"(column {column})" in str(err.value)
+        assert str(err.value) == f"{message} (column {column})", text
 
 
 def test_render_sum_fixed_forms():
@@ -189,6 +194,30 @@ def test_verify_command_bound(capsys):
     assert "(a = 1/2)" in out and "(d0 = 0)" in out
 
 
+def test_verify_json_rows_carry_no_trace_unless_asked(capsys):
+    assert main(["verify", "--order", "2", "--json"]) == 0
+    rows = json.loads(capsys.readouterr().out)
+    assert [sorted(row) for row in rows] == [["actual", "expected", "name", "passed"]]
+
+
+def test_identities_json_trace_steps_chain(capsys):
+    assert main(["identities", "--json", "--trace"]) == 0
+    row = next(r for r in json.loads(capsys.readouterr().out) if r["name"] == "dD^4")
+    steps = row["trace"]
+    assert steps
+    assert all(a["after"] == b["before"] for a, b in zip(steps, steps[1:]))
+    assert steps[-1]["after"] == {"value": "-3/32 w^-1", "integrand": "0"}
+
+
+def test_identities_trace_prints_steps_under_each_check(capsys):
+    assert main(["identities", "--trace"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    start = lines.index("PASS  dD^4  ->  -3/32 w^-1")
+    block = lines[start + 1:]
+    block = block[:next(i for i, line in enumerate(block) if not line.startswith("      "))]
+    assert block[-1] == "      base: -3/32 w^-1 | 0"
+
+
 def test_diagrams_command_table(capsys):
     code, out, _ = run(capsys, "diagrams", "--order", "1")
     assert code == 0
@@ -214,6 +243,12 @@ def test_bad_usage_exits_2():
     assert err.value.code == 2
     with pytest.raises(SystemExit) as err:
         main(["reduce", "D", "--omega", "0"])
+    assert err.value.code == 2
+    with pytest.raises(SystemExit) as err:
+        main(["verify", "--a", "x"])
+    assert err.value.code == 2
+    with pytest.raises(SystemExit) as err:
+        main(["diagrams", "--order", "1", "--a", "1/0"])
     assert err.value.code == 2
 
 

@@ -62,6 +62,8 @@ def test_monomials_are_immutable_values_not_tuples():
         t.m = 3
     with pytest.raises(AttributeError):
         t.coeff = ValuePoly.rational(1)
+    with pytest.raises(AttributeError):
+        del mono().coeff
     twin = IntegrandMonomial(1, 2, 0, 0, ValuePoly.rational(Fraction(-3, 32)))
     assert t == twin and hash(t) == hash(twin)
     assert t != mono(1, 2, 0, 0, coeff=Fraction(3, 32))
