@@ -10,8 +10,9 @@ shape (0, 0, 0, 0) stands for coeff times the divergent bare measure
 integral dt * 1 and is never a valid reduction input.
 
 Equal-time (local) factors are never stored as integrand factors: they are
-folded into coefficients at construction time by `local_value` from the
-constants below,
+folded into coefficients by `local_value` from the constants below, the one
+statement of the equal-time values, which the delta rules, the ibp contact
+term and the diagram generator's same-vertex pairs all read through it,
 
     D_AT_ZERO     = w^-1 / 2
     DDOT_AT_ZERO  = 0            (the sign function vanishes at the origin)
@@ -39,7 +40,7 @@ import re
 from fractions import Fraction
 from typing import Iterable
 
-from .ring import (D0, SYMBOL_NAMES, ZERO, RationalLike, ValuePoly, _max_str_digits,
+from .ring import (D0, ONE, SYMBOL_NAMES, ZERO, RationalLike, ValuePoly, _max_str_digits,
                    render_signed)
 
 Shape = tuple[int, int, int, int]
@@ -192,19 +193,19 @@ def integrand_sum(*terms: IntegrandMonomial) -> IntegrandSum:
 
 
 def local_value(m: int = 0, n: int = 0, p: int = 0) -> ValuePoly:
-    """D(0)^m * dD(0)^n * ddD(0)^p, folded from D_AT_ZERO and DDDOT_AT_ZERO.
+    """D(0)^m * dD(0)^n * ddD(0)^p, folded from the three equal-time constants.
 
-    DDOT_AT_ZERO is never read: any dD power gives ZERO here, and
-    `reducer.ibp_step` encodes the same dD(0) = 0 by emitting its contact
-    term only for n = 2.  Changing the constant alone changes nothing.
+    D_AT_ZERO, DDOT_AT_ZERO and DDDOT_AT_ZERO are read at call time.  A zero
+    constant with a positive power gives ZERO before any power is built.
     """
-    if n:
-        return ZERO  # DDOT_AT_ZERO ** n
-    if not p:
-        return D_AT_ZERO ** m
-    if not m:
-        return DDDOT_AT_ZERO ** p
-    return D_AT_ZERO ** m * DDDOT_AT_ZERO ** p
+    if ((m and D_AT_ZERO.is_zero) or (n and DDOT_AT_ZERO.is_zero)
+            or (p and DDDOT_AT_ZERO.is_zero)):
+        return ZERO
+    value = None
+    for constant, power in ((D_AT_ZERO, m), (DDOT_AT_ZERO, n), (DDDOT_AT_ZERO, p)):
+        if power:
+            value = constant ** power if value is None else value * constant ** power
+    return ONE if value is None else value
 
 
 class ParseError(ValueError):

@@ -6,13 +6,14 @@ order.  The values follow from the propagator's equation of motion
 
     ddD(t) = -delta(t) + w^2 D(t),
 
-from the two delta evaluation rules
+from the delta rule delta^q -> f(0) d0^(q-1), one fold for q = 1 and 2,
 
     integral f delta      -> f(0)
     integral f delta^2    -> f(0) * d0,
 
-where f(0) folds D(0) = w^-1/2 and dD(0) = 0 (`integrand.local_value`), and
-from integration by parts without boundary terms.  Applied in pipeline order
+where f(0) folds the equal-time constants (`integrand.local_value`), and
+from integration by parts without boundary terms, whose contact term is
+emitted where `local_value` says it is nonzero.  Applied in pipeline order
 (equation of motion, delta^2, delta, parity, integration by parts, base
 integral) the system is confluent by construction: each stage eliminates one
 factor kind and never reintroduces an earlier one.
@@ -94,36 +95,31 @@ def substitute_field_equation(s: IntegrandSum) -> IntegrandSum:
     return IntegrandSum(out)
 
 
-def eval_dirac_squared(s: IntegrandSum) -> tuple[ValuePoly, IntegrandSum]:
-    """Evaluate every delta^2 term to f(0) * d0; reject delta^3 and higher."""
+def _fold_delta(s: IntegrandSum, q: int) -> tuple[ValuePoly, IntegrandSum]:
+    """Evaluate every delta^q term to f(0) * d0^(q-1); reject higher delta powers."""
     value = ZERO
     rest: list[IntegrandMonomial] = []
     for t in s:
-        if t.q >= 3:
+        if t.q > q:
             raise RuleError(f"no rule for delta^{t.q}")
-        if t.q == 2:
+        if t.q == q:
             if t.p:
-                raise RuleError("delta^2 evaluation requires ddD-free terms")
-            value = value + t.coeff * local_value(t.m, t.n) * D0
+                raise RuleError("delta evaluation requires ddD-free terms")
+            got = t.coeff * local_value(t.m, t.n)
+            value = value + (got * D0 if q == 2 else got)
         else:
             rest.append(t)
     return value, IntegrandSum(rest)
+
+
+def eval_dirac_squared(s: IntegrandSum) -> tuple[ValuePoly, IntegrandSum]:
+    """Evaluate every delta^2 term to f(0) * d0; reject delta^3 and higher."""
+    return _fold_delta(s, 2)
 
 
 def eval_dirac(s: IntegrandSum) -> tuple[ValuePoly, IntegrandSum]:
-    """Evaluate every single-delta term to the point value of its cofactor."""
-    value = ZERO
-    rest: list[IntegrandMonomial] = []
-    for t in s:
-        if t.q >= 2:
-            raise RuleError("delta^2 terms must go through eval_dirac_squared first")
-        if t.q == 1:
-            if t.p:
-                raise RuleError("delta evaluation requires ddD-free terms")
-            value = value + t.coeff * local_value(t.m, t.n)
-        else:
-            rest.append(t)
-    return value, IntegrandSum(rest)
+    """Evaluate every single-delta term to f(0); delta^2 must be folded first."""
+    return _fold_delta(s, 1)
 
 
 def drop_odd_orientation(s: IntegrandSum) -> IntegrandSum:
@@ -137,9 +133,6 @@ def drop_odd_orientation(s: IntegrandSum) -> IntegrandSum:
     return IntegrandSum(kept)
 
 
-_W_SQUARED = ValuePoly.monomial(1, w=2)
-
-
 def ibp_step(t: IntegrandMonomial) -> IntegrandSum:
     """One integration-by-parts move on a dD^n D^m term, n even and >= 2.
 
@@ -149,8 +142,10 @@ def ibp_step(t: IntegrandMonomial) -> IntegrandSum:
                                   - (n-1) w^2 integral dD^(n-2) D^(m+2)
 
     with no boundary terms.  The pointwise bracket is emitted as the
-    equivalent single-delta term when n = 2 and omitted when n >= 4, where
-    dD(0) = 0 makes it vanish.
+    equivalent single-delta term where its equal-time value is nonzero,
+    which with dD(0) = 0 is n = 2 only.  Only the dD part of that value,
+    `local_value(0, n - 2)`, is read: a vanishing D(0) would zero the
+    emitted term in the delta rule all the same.
     """
     if t.p or t.q:
         raise RuleError("integration by parts applies to pure D/dD terms")
@@ -158,9 +153,9 @@ def ibp_step(t: IntegrandMonomial) -> IntegrandSum:
         raise RuleError("integration by parts needs an even dD power >= 2")
     ratio = Fraction(t.n - 1, t.m + 1)
     out = []
-    if t.n == 2:
-        out.append(mono(t.m + 1, 0, 0, 1, t.coeff * ratio))
-    out.append(mono(t.m + 2, t.n - 2, 0, 0, t.coeff * (-ratio) * _W_SQUARED))
+    if not local_value(0, t.n - 2).is_zero:
+        out.append(mono(t.m + 1, t.n - 2, 0, 1, t.coeff * ratio))
+    out.append(mono(t.m + 2, t.n - 2, 0, 0, t.coeff * ValuePoly.monomial(-ratio, w=2)))
     return IntegrandSum(out)
 
 

@@ -165,7 +165,11 @@ class ValuePoly:
         return self._terms[(0, 0, 0, 0)]
 
     def substitute(self, bindings: Mapping[str, RationalLike]) -> "ValuePoly":
-        """Substitute exact rationals for some symbols; w must be positive."""
+        """Substitute exact rationals for some symbols; w must be positive.
+
+        Under one binding, a term sure to pass the int-to-str digit limit
+        raises the printer's error before its power is built.
+        """
         for name in bindings:
             if name not in _SYMBOL_INDEX:
                 raise ValueError(f"unknown symbol {name!r}")
@@ -176,7 +180,10 @@ class ValuePoly:
             new_exps = list(exps)
             for name, value in bindings.items():
                 idx = _SYMBOL_INDEX[name]
-                coef = coef * _as_fraction(value) ** exps[idx]
+                value = _as_fraction(value)
+                if len(bindings) == 1 and _passes_digit_limit(self._terms, exps, idx, value):
+                    raise _digit_limit_error()
+                coef = coef * value ** exps[idx]
                 new_exps[idx] = 0
             key = tuple(new_exps)
             out[key] = out.get(key, Fraction(0)) + coef  # type: ignore[index]
@@ -223,8 +230,29 @@ def _digits(number: int | Fraction) -> str:
     try:
         return str(number)
     except ValueError:
-        limit = _max_str_digits()
-        raise ValueError(f"a number in the output has more than {limit} digits") from None
+        raise _digit_limit_error() from None
+
+
+def _digit_limit_error() -> ValueError:
+    return ValueError(f"a number in the output has more than {_max_str_digits()} digits")
+
+
+def _passes_digit_limit(terms: dict[Exponents, Fraction], exps: Exponents, idx: int,
+                        value: Fraction) -> bool:
+    """Whether term `exps` with `value` for symbol `idx` surely passes the digit limit.
+
+    For value = p/q in lowest terms and k > 0, coef * (p/q)^k keeps at least
+    p^k / den(coef) upstairs and q^k / num(coef) downstairs, unless another
+    term merges with it; past 4 * limit bits a number has over `limit` digits.
+    """
+    limit, coef, k = _max_str_digits(), terms[exps], exps[idx]
+    if k < 0:
+        value, k = 1 / value, -k
+    bits = max(k * (abs(value.numerator).bit_length() - 1) - coef.denominator.bit_length(),
+               k * (value.denominator.bit_length() - 1) - abs(coef.numerator).bit_length())
+    rest = exps[:idx] + exps[idx + 1:]
+    return (bool(limit) and bits > 4 * limit
+            and sum(other[:idx] + other[idx + 1:] == rest for other in terms) == 1)
 
 
 def _max_str_digits() -> int:

@@ -122,6 +122,10 @@ def test_reduce_command_with_omega(capsys):
     code, out, _ = run(capsys, "reduce", "D", "--omega", "1/2")
     assert code == 0
     assert out.strip() == "4"
+    # each 3^-30002 alone is past the digit limit, but the two cancel
+    code, out, _ = run(capsys, "reduce", "D w^-30000 - 3 D w^-30001 + D", "--omega", "3")
+    assert code == 0
+    assert out.strip() == "1/9"
 
 
 def test_reduce_command_json_trace(capsys):
@@ -160,13 +164,14 @@ def test_reduce_command_parse_error_exit_2(capsys):
 def test_reduce_command_result_too_long_to_print_exit_2(capsys):
     # D^20000 is past the input power bound; the product of two 3000-digit
     # literals is under it, but past the digit limit of int-to-str conversion,
-    # and so is the sum of two 4300-digit exponents of one ring symbol
+    # and so is the sum of two 4300-digit exponents of one ring symbol; 3 to
+    # the power 3e11 is past it too, and has to fail before it is built
     big = "7" * 3000
     nines = "9" * 4300
-    expressions = ["D^20000", f"{big} {big} D"]
-    expressions += [f"{name}^{nines} {name}^{nines} D" for name in ("w", "a", "d0", "g")]
+    expressions = [["D^20000"], [f"{big} {big} D"], ["D w^-300000000000", "--omega", "3"]]
+    expressions += [[f"{name}^{nines} {name}^{nines} D"] for name in ("w", "a", "d0", "g")]
     for expression in expressions:
-        for argv in (["reduce", expression], ["reduce", "--json", expression]):
+        for argv in (["reduce", *expression], ["reduce", "--json", *expression]):
             code, out, err = run(capsys, *argv)
             assert code == 2
             assert out == ""
@@ -216,6 +221,52 @@ def test_identities_trace_prints_steps_under_each_check(capsys):
     block = lines[start + 1:]
     block = block[:next(i for i, line in enumerate(block) if not line.startswith("      "))]
     assert block[-1] == "      base: -3/32 w^-1 | 0"
+
+
+def test_verify_order_2_trace_prints_every_step(capsys):
+    # n = 4 takes an ibp move without a contact term, which dD(0) = 0 drops
+    assert main(["verify", "--order", "2", "--trace"]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "PASS  order-2 total  ->  0",
+        "      field_equation: 0 | -1/4 g^2 w^-2 delta^2 - 1/2 g^2 dD^2 - 2 g^2 dD^4"
+        " + 1/2 g^2 D delta + 8 g^2 D dD^2 delta - 1/2 g^2 w^2 D^2 - 2 g^2 D^2 delta^2"
+        " - 16 g^2 w^2 D^2 dD^2 + 4 g^2 w^2 D^3 delta - 10/3 g^2 w^4 D^4",
+        "      delta_squared: -3/4 g^2 d0 w^-2 | -1/2 g^2 dD^2 - 2 g^2 dD^4 + 1/2 g^2 D delta"
+        " + 8 g^2 D dD^2 delta - 1/2 g^2 w^2 D^2 - 16 g^2 w^2 D^2 dD^2 + 4 g^2 w^2 D^3 delta"
+        " - 10/3 g^2 w^4 D^4",
+        "      delta: -3/4 g^2 d0 w^-2 + 3/4 g^2 w^-1 | -1/2 g^2 dD^2 - 2 g^2 dD^4"
+        " - 1/2 g^2 w^2 D^2 - 16 g^2 w^2 D^2 dD^2 - 10/3 g^2 w^4 D^4",
+        "      ibp: -3/4 g^2 d0 w^-2 + 3/4 g^2 w^-1 | -1/2 g^2 D delta + 6 g^2 w^2 D^2 dD^2"
+        " - 16/3 g^2 w^2 D^3 delta + 2 g^2 w^4 D^4",
+        "      delta: -3/4 g^2 d0 w^-2 - 1/6 g^2 w^-1 | 6 g^2 w^2 D^2 dD^2 + 2 g^2 w^4 D^4",
+        "      ibp: -3/4 g^2 d0 w^-2 - 1/6 g^2 w^-1 | 2 g^2 w^2 D^3 delta",
+        "      delta: -3/4 g^2 d0 w^-2 + 1/12 g^2 w^-1 | 0",
+    ]
+
+
+def test_identities_trace_pins_the_steps_where_dd_at_zero_acts(capsys):
+    # dD^4 takes an ibp move without a contact term; in ddD dD^2 D the delta
+    # rule folds D dD^2 delta to 0
+    assert main(["identities", "--trace"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+
+    def steps_under(header):
+        block = lines[lines.index(header) + 1:]
+        return block[:next(i for i, line in enumerate(block) if not line.startswith("      "))]
+
+    assert steps_under("PASS  dD^4  ->  -3/32 w^-1") == [
+        "      ibp: 0 | -3 w^2 D^2 dD^2",
+        "      ibp: 0 | -w^2 D^3 delta + w^4 D^4",
+        "      delta: -1/8 w^-1 | w^4 D^4",
+        "      base: -3/32 w^-1 | 0",
+    ]
+    assert steps_under("PASS  ddD dD^2 D  ->  1/32 w^-1") == [
+        "      field_equation: 0 | -D dD^2 delta + w^2 D^2 dD^2",
+        "      delta: 0 | w^2 D^2 dD^2",
+        "      ibp: 0 | 1/3 w^2 D^3 delta - 1/3 w^4 D^4",
+        "      delta: 1/24 w^-1 | -1/3 w^4 D^4",
+        "      base: 1/32 w^-1 | 0",
+    ]
 
 
 def test_diagrams_command_table(capsys):

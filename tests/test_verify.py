@@ -5,9 +5,10 @@ from fractions import Fraction
 import pytest
 
 from conftest import total_derivative
-from singint import (D0, ZERO, D_AT_ZERO, IntegrandSum, ValuePoly, diagram_classes,
-                     diagram_identities, identity_suite, integrand, integrand_sum,
-                     mono, order_check, quadrature_oracle, reduce, reducer, wick)
+from singint import (A, D0, G, ONE, ZERO, D_AT_ZERO, IntegrandSum, ValuePoly,
+                     diagram_classes, diagram_identities, identity_suite, integrand,
+                     integrand_sum, mono, order_check, quadrature_oracle, reduce, reducer,
+                     verify, wick)
 from singint.integrand import parse
 from singint.verify import INT_D_FOURTH, INT_D_SQUARED, LEBESGUE_DD_FOURTH
 
@@ -117,10 +118,10 @@ def test_naive_equal_time_value_leaves_a_d0_residue(monkeypatch):
 
 def test_variant_contact_rule_fixes_total_derivatives_but_breaks_order_2(monkeypatch):
     # the variant keeps dD(0)^n alive for even n, as eps^n delta -> delta/(n+1)
-    # with dD = -eps e^(-w|t|)/2, and so emits the ibp contact term for every
-    # even n; only the reducer sees it, since swapping wick.local_value too
-    # breaks order 1 by -1/6 g
-    rule_local_value, rule_ibp_step = reducer.local_value, reducer.ibp_step
+    # with dD = -eps e^(-w|t|)/2; `ibp_step` reads the same `local_value`, so
+    # it emits its contact term for every even n.  Only the reducer sees the
+    # variant, since swapping wick.local_value too breaks order 1 by -1/6 g
+    rule_local_value = reducer.local_value
 
     def variant_local_value(m=0, n=0, p=0):
         if not n:
@@ -129,15 +130,7 @@ def test_variant_contact_rule_fixes_total_derivatives_but_breaks_order_2(monkeyp
             return ZERO
         return rule_local_value(m, 0, p) * Fraction(1, 2 ** n * (n + 1))
 
-    def variant_ibp_step(t):
-        out = rule_ibp_step(t)
-        if t.n >= 4:
-            out = out + IntegrandSum([mono(t.m + 1, t.n - 2, 0, 1,
-                                           t.coeff * Fraction(t.n - 1, t.m + 1))])
-        return out
-
     monkeypatch.setattr(reducer, "local_value", variant_local_value)
-    monkeypatch.setattr(reducer, "ibp_step", variant_ibp_step)
 
     assert reduce(integrand_sum(mono(n=4)))[0] == LEBESGUE_DD_FOURTH
     for m in range(9):
@@ -153,6 +146,99 @@ def test_variant_contact_rule_fixes_total_derivatives_but_breaks_order_2(monkeyp
     failed = {c.name: c.actual - c.expected for c in diagram_identities() if not c.passed}
     assert failed == {"local plus watermelon sum": residue,
                       "bubbles cancel local plus watermelon": residue}
+
+
+def _one_sided_ddot(monkeypatch):
+    # dD(0) = -1/2, the value from t > 0, in place of the symmetric 0
+    monkeypatch.setattr(integrand, "DDOT_AT_ZERO", ValuePoly.rational(Fraction(-1, 2)))
+
+
+def _delta_squared_without_d0(monkeypatch):
+    monkeypatch.setattr(reducer, "D0", ONE)
+
+
+def _jacobian_vertices_dropped(monkeypatch):
+    vertices = wick.action_vertices
+    monkeypatch.setattr(wick, "action_vertices",
+                        lambda order: [v for v in vertices(order) if not v.jacobian])
+
+
+def _qd2q4_coupling_one_plus_a(monkeypatch):
+    vertices = wick.action_vertices
+    coupling = G * G * (ONE + A) * Fraction(1, 2)  # 1 + a for 1 + 2a
+    monkeypatch.setattr(wick, "action_vertices", lambda order: [
+        v._replace(coupling=coupling) if v.label == "qd2q4" else v for v in vertices(order)])
+
+
+def _ibp_contact_dropped(monkeypatch):
+    step = reducer.ibp_step
+    monkeypatch.setattr(reducer, "ibp_step",
+                        lambda t: IntegrandSum([u for u in step(t) if not u.q]))
+
+
+def _lebesgue_dd_fourth(monkeypatch):
+    # integral dD^4 at its Lebesgue value, 1/8 w^-1 above the rule value
+    rule_reduce = verify.reduce
+
+    def lebesgue_reduce(s):
+        value, trace = rule_reduce(s)
+        for t in s:
+            if t.shape == (0, 4, 0, 0):
+                value = value + t.coeff * ValuePoly.monomial(Fraction(1, 8), w=-1)
+        return value, trace
+
+    monkeypatch.setattr(verify, "reduce", lebesgue_reduce)
+
+
+# mutant: (order 1, order 2, order 2 at a = 1/2, order 2 with d0 = 0) residues,
+# then the failing diagram_identities rows and the failing identity_suite rows
+MUTANTS = {
+    _one_sided_ddot: (
+        ("-1/2 g", "3/2 g^2 a w^-1 + g^2 w^-1", "7/4 g^2 w^-1", "3/2 g^2 a w^-1 + g^2 w^-1"),
+        {"order-1 connected sum", "local three-loop sum", "local plus watermelon sum",
+         "bubbles cancel local plus watermelon"},
+        {"ddD dD^2 D", "ddD dD^2 D vs w^2 dD^2 D^2", "dD^4", "delta^2 dD^2"}),
+    _delta_squared_without_d0: (
+        ("0", "3/4 g^2 d0 w^-2 - 3/4 g^2 w^-2", "3/4 g^2 d0 w^-2 - 3/4 g^2 w^-2",
+         "-3/4 g^2 w^-2"),
+        {"full bubble sum", "local plus watermelon sum", "bubbles cancel local plus watermelon"},
+        {"ddD^2 + 2 w^2 dD^2 + w^4 D^2", "ddD^2 D^2", "delta^2", "delta^2 D^2"}),
+    # every residue term carries d0, so the Veltman convention hides this fault
+    _jacobian_vertices_dropped: (
+        ("-1/2 g d0 w^-1", "-1/4 g^2 d0^2 w^-3 + 3/4 g^2 d0 a w^-2 - 7/8 g^2 d0 w^-2",
+         "-1/4 g^2 d0^2 w^-3 - 1/2 g^2 d0 w^-2", "0"),
+        {"order-1 connected sum", "jacobian bubble sum", "full bubble sum",
+         "local three-loop sum", "local plus watermelon sum",
+         "bubbles cancel local plus watermelon"},
+        set()),
+    _qd2q4_coupling_one_plus_a: (
+        ("0", "-3/8 g^2 d0 a w^-2 + 3/16 g^2 a w^-1", "-3/16 g^2 d0 w^-2 + 3/32 g^2 w^-1",
+         "3/16 g^2 a w^-1"),
+        {"local three-loop sum", "local plus watermelon sum",
+         "bubbles cancel local plus watermelon"},
+        set()),
+    _ibp_contact_dropped: (
+        ("0", "2/3 g^2 w^-1", "2/3 g^2 w^-1", "2/3 g^2 w^-1"),
+        {"jacobian bubble sum", "full bubble sum", "local plus watermelon sum",
+         "bubbles cancel local plus watermelon"},
+        {"dD^2 + w^2 D^2", "ddD^2 + 2 w^2 dD^2 + w^4 D^2", "dD^2 D^2", "ddD dD^2 D", "dD^4"}),
+    _lebesgue_dd_fourth: (
+        ("0", "-1/4 g^2 w^-1", "-1/4 g^2 w^-1", "-1/4 g^2 w^-1"),
+        {"local plus watermelon sum", "bubbles cancel local plus watermelon"},
+        {"dD^4 vs -3 ddD dD^2 D", "dD^4"}),
+}
+
+
+@pytest.mark.parametrize("mutant", MUTANTS, ids=lambda mutant: mutant.__name__.lstrip("_"))
+def test_mutant_leaves_its_pinned_residues(monkeypatch, mutant):
+    residues, failing_diagrams, failing_identities = MUTANTS[mutant]
+    mutant(monkeypatch)
+    checks = [order_check(1), order_check(2), order_check(2, a_binding=Fraction(1, 2)),
+              order_check(2, veltman=True)]
+    assert tuple(check.actual.render() for check in checks) == residues
+    assert [check.passed for check in checks] == [residue == "0" for residue in residues]
+    assert {c.name for c in diagram_identities() if not c.passed} == failing_diagrams
+    assert {c.name for c in identity_suite() if not c.passed} == failing_identities
 
 
 def test_order_check_carries_a_trace_when_nonlocal():
