@@ -167,27 +167,27 @@ class ValuePoly:
     def substitute(self, bindings: Mapping[str, RationalLike]) -> "ValuePoly":
         """Substitute exact rationals for some symbols; w must be positive.
 
-        Under one binding, a term sure to pass the int-to-str digit limit
-        raises the printer's error before its power is built.
+        Symbols are bound one at a time, and `_power_sum` adds up the terms
+        each binding merges, so a power sure to pass the int-to-str digit
+        limit raises the printer's error before it is built.  The bound holds
+        after each binding: w^k a^k at w = 2, a = 1/2 raises for a k whose
+        2^k is too long to print, though the whole product is 1.
         """
         for name in bindings:
             if name not in _SYMBOL_INDEX:
                 raise ValueError(f"unknown symbol {name!r}")
         if "w" in bindings and _as_fraction(bindings["w"]) <= 0:
             raise ValueError("w must be substituted with a positive rational")
-        out: dict[Exponents, Fraction] = {}
-        for exps, coef in self._terms.items():
-            new_exps = list(exps)
-            for name, value in bindings.items():
-                idx = _SYMBOL_INDEX[name]
-                value = _as_fraction(value)
-                if len(bindings) == 1 and _passes_digit_limit(self._terms, exps, idx, value):
-                    raise _digit_limit_error()
-                coef = coef * value ** exps[idx]
-                new_exps[idx] = 0
-            key = tuple(new_exps)
-            out[key] = out.get(key, Fraction(0)) + coef  # type: ignore[index]
-        return ValuePoly(out)  # type: ignore[arg-type]
+        terms = self._terms
+        for name, value in bindings.items():
+            idx = _SYMBOL_INDEX[name]
+            merged: dict[Exponents, list[tuple[int, Fraction]]] = {}
+            for exps, coef in terms.items():
+                key = exps[:idx] + (0,) + exps[idx + 1:]
+                merged.setdefault(key, []).append((exps[idx], coef))  # type: ignore[arg-type]
+            value = _as_fraction(value)
+            terms = {key: _power_sum(powers, value) for key, powers in merged.items()}
+        return ValuePoly(terms)
 
     # -- rendering ---------------------------------------------------------
 
@@ -237,22 +237,67 @@ def _digit_limit_error() -> ValueError:
     return ValueError(f"a number in the output has more than {_max_str_digits()} digits")
 
 
-def _passes_digit_limit(terms: dict[Exponents, Fraction], exps: Exponents, idx: int,
-                        value: Fraction) -> bool:
-    """Whether term `exps` with `value` for symbol `idx` surely passes the digit limit.
+def _power_sum(powers: list[tuple[int, Fraction]], value: Fraction) -> Fraction:
+    """Exact sum of coef * value**k over (k, coef) pairs with distinct k.
 
-    For value = p/q in lowest terms and k > 0, coef * (p/q)^k keeps at least
-    p^k / den(coef) upstairs and q^k / num(coef) downstairs, unless another
-    term merges with it; past 4 * limit bits a number has over `limit` digits.
+    The terms split into runs at gaps of more than 8 * limit powers, and each
+    run is summed with its lowest power factored out, so no power is built
+    that the run would cancel.  A sum that keeps one run is bounded as one
+    term.  Two surviving runs with factored sums s and t, of bit heights
+    h(s) and h(t), G > 2 (4 * limit + h(s) + h(t)) + 2 powers apart, leave
+    more than 4 * limit bits upstairs or downstairs (compare the p- or
+    q-adic orders of the two runs, or their sizes where p or q is 1), so
+    they raise the printer's error; nearer runs are joined.
     """
-    limit, coef, k = _max_str_digits(), terms[exps], exps[idx]
+    if len(powers) == 1:
+        ((k, coef),) = powers
+        if not k:
+            return coef
+        if _max_str_digits() and _passes_digit_limit(coef, k, value):
+            raise _digit_limit_error()
+        return coef * value ** k
+    limit = _max_str_digits()
+    if not limit or value in (0, 1, -1):
+        return sum((coef * value ** k for k, coef in powers), Fraction(0))
+    powers = sorted(powers)
+    runs = [[powers[0]]]
+    for k, coef in powers[1:]:
+        if k - runs[-1][-1][0] > 8 * limit:
+            runs.append([])
+        runs[-1].append((k, coef))
+    low, total = 0, Fraction(0)
+    for run in runs:
+        start = run[0][0]
+        rest = sum((coef * value ** (k - start) for k, coef in run), Fraction(0))
+        if not rest:
+            continue
+        if not total:
+            low, total = start, rest
+        elif start - low > 2 * (4 * limit + _height(total) + _height(rest)) + 2:
+            raise _digit_limit_error()
+        else:
+            total += rest * value ** (start - low)
+    if total and _passes_digit_limit(total, low, value):
+        raise _digit_limit_error()
+    return total * value ** low
+
+
+def _height(x: Fraction) -> int:
+    return max(abs(x.numerator).bit_length(), x.denominator.bit_length())
+
+
+def _passes_digit_limit(coef: Fraction, k: int, value: Fraction) -> bool:
+    """Whether coef * value**k surely passes the digit limit.
+
+    For value = p/q in lowest terms and k > 0, the product keeps at least
+    p^k / den(coef) upstairs and q^k / num(coef) downstairs; past 4 * limit
+    bits a number has over `limit` digits.
+    """
     if k < 0:
         value, k = 1 / value, -k
     bits = max(k * (abs(value.numerator).bit_length() - 1) - coef.denominator.bit_length(),
                k * (value.denominator.bit_length() - 1) - abs(coef.numerator).bit_length())
-    rest = exps[:idx] + exps[idx + 1:]
-    return (bool(limit) and bits > 4 * limit
-            and sum(other[:idx] + other[idx + 1:] == rest for other in terms) == 1)
+    return bits > 4 * _max_str_digits()
 
 
 def _max_str_digits() -> int:

@@ -16,17 +16,29 @@ and `diagram_classes(order)` classifies exactly that, with the second vertex
 of every two-vertex contraction pinned at time 0 (the shared time volume is
 divided out).  `order_contribution(classes)` folds the classes it is given,
 a whole order or one family of it, into a local part and a nonlocal
-integrand; it never classifies on its own.
-
-Contractions are enumerated as raw perfect matchings of the vertex legs,
-nothing is skipped: matchings whose equal-time dD(0) factor kills them are
-produced and carry a zero coefficient, and disconnected matchings are
-flagged rather than suppressed.  Cross-pair line values:
+integrand; it never classifies on its own.  Cross-pair line values:
 
     q(t)  q(0)   ->  D
     q.(t) q(0)   ->  +dD      (derivative on the unpinned vertex)
-    q(t)  q.(0)  ->  -dD
-    q.(t) q.(0)  ->  -ddD
+    q(t)  q.(0)  ->  -dD      (PINNED_DERIVATIVE_SIGN)
+    q.(t) q.(0)  ->  -ddD     (PINNED_DERIVATIVE_SIGN)
+
+`diagram_classes` counts each class's matchings in closed form and
+enumerates none.  A class is fixed by the self-pair split at each vertex,
+x qdot qdot, y qdot q and u qq pairs, and by its cross-line counts: X
+q.(t) q.(0), Y q.(t) q(0), Z q(t) q.(0) and U q(t) q(0).  Its shape is
+(U, Y + Z, X, 0), its sign PINNED_DERIVATIVE_SIGN^(X + Z), and its
+multiplicity the product of the ways to pick each vertex's self pairs and
+the
+
+    a1! b1! a2! b2! / (X! Y! Z! U!)
+
+bijections of the a dotted and b plain legs left free at each vertex.
+
+`enumerate_contractions` is the reference those counts are tested against.
+It produces every raw perfect matching of the vertex legs, nothing skipped:
+matchings whose equal-time dD(0) factor kills them carry a zero
+coefficient, and disconnected matchings are flagged rather than suppressed.
 
 Same-vertex pairs fold to D(0), dD(0) = 0, or -ddD(0) ring values.  Each
 pair of legs adds one to a field of a packed integer counter: its self-pair
@@ -47,6 +59,7 @@ used there.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import factorial
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .integrand import IntegrandMonomial, IntegrandSum, local_value, mono
@@ -54,6 +67,11 @@ from .ring import A, D0, G, ONE, W, ZERO, ValuePoly
 
 Q = "q"
 QDOT = "qdot"
+
+# the sign a derivative on the pinned vertex brings: q(t) q.(0) -> -dD, q.(t) q.(0) -> -ddD
+PINNED_DERIVATIVE_SIGN = -1
+# the connected second cumulant enters the free energy as -(1/2!) of it
+CUMULANT_PREFACTOR = Fraction(-1, 2)
 
 # leg as seen by the matcher: (vertex slot 0|1, leg index, kind)
 Leg = tuple[int, int, str]
@@ -123,6 +141,15 @@ _FLIP_FIELD = _LINE_FIELD + 3
 _FIELDS = _FLIP_FIELD + 1
 
 
+def _equal_time(kinds: tuple[int, ...]) -> ValuePoly:
+    """The product of same-vertex pair values, counted by kind in `_SELF_KIND` order.
+
+    A qdot qdot pair is d/dt d/ds D(t - s) at s = t, which is -ddD(0).
+    """
+    local = local_value(*kinds)
+    return -local if kinds[2] & 1 else local
+
+
 def _extend(rest: tuple[int, ...], pairing: tuple, acc: int,
             table: list[list], leaf: Callable[[tuple, int], None],
             memo: dict | None = None) -> None:
@@ -177,6 +204,7 @@ def enumerate_contractions(v1: Vertex, v2: Vertex | None = None) -> list[Contrac
     # every field counts at most one per pair, so `bits` bits never overflow
     bits = (len(legs) // 2).bit_length()
     mask = (1 << bits) - 1
+    pinned_flip = PINNED_DERIVATIVE_SIGN < 0
     table: list[list] = [[None] * len(legs) for _ in legs]
     for i, a in enumerate(legs):
         for j in range(i + 1, len(legs)):
@@ -188,10 +216,10 @@ def enumerate_contractions(v1: Vertex, v2: Vertex | None = None) -> list[Contrac
             elif kinds == (Q, Q):
                 field, flip = _LINE_FIELD, False
             elif kinds == (QDOT, QDOT):
-                field, flip = _LINE_FIELD + 2, True
+                field, flip = _LINE_FIELD + 2, pinned_flip
             else:
-                # dotted leg on the pinned vertex flips the line
-                field, flip = _LINE_FIELD + 1, (va if ka == QDOT else vb) == 1
+                # only a dotted leg on the pinned vertex flips the line
+                field, flip = _LINE_FIELD + 1, pinned_flip and (va if ka == QDOT else vb) == 1
             table[i][j] = ((a, b), (1 << bits * field) + (flip << bits * _FLIP_FIELD))
 
     # the fields of each distinct counter, and the equal-time factor of each
@@ -206,11 +234,7 @@ def enumerate_contractions(v1: Vertex, v2: Vertex | None = None) -> list[Contrac
         kinds = tuple(count[k] + count[_KINDS + k] for k in range(_KINDS))
         local = locals_.get(kinds)
         if local is None:
-            # a same-vertex qdot qdot pair is -ddD(0)
-            local = local_value(*kinds)
-            if kinds[2] & 1:
-                local = -local
-            locals_[kinds] = local
+            local = locals_[kinds] = _equal_time(kinds)
         selfs = sorted((labels[slot], name)
                        for slot in (0, 1) for k, name in enumerate(_SELF_KIND.values())
                        for _ in range(count[_KINDS * slot + k]))
@@ -266,56 +290,101 @@ class DiagramClass(NamedTuple):
         return weight, mono(*self.shape, coeff=Fraction(self.sign))
 
 
-def _family(v1: Vertex, v2: Vertex | None, c: Contraction) -> str:
-    if v2 is None:
-        return "local"
-    if v1.jacobian or v2.jacobian:
-        return "jacobian_bubble"
-    return "bubble" if c.self_pairs else "watermelon"
+def _splits(legs: tuple[str, ...]) -> list[tuple[tuple[int, int, int], int, int, int]]:
+    """Self-pair splits of one vertex's legs: (kinds, a, b, ways).
+
+    `kinds` counts the u qq, y qdot q and x qdot qdot pairs; they leave a
+    dotted and b plain legs free, and the k dotted and l plain legs can be
+    paired so in k! l! / (2^(x+u) x! u! y! a! b!) ways.
+    """
+    k = legs.count(QDOT)
+    l = len(legs) - k
+    out = []
+    for x in range(k // 2 + 1):
+        for y in range(min(k - 2 * x, l) + 1):
+            for u in range((l - y) // 2 + 1):
+                a, b = k - 2 * x - y, l - y - 2 * u
+                ways = factorial(k) * factorial(l) // (
+                    2 ** (x + u) * factorial(x) * factorial(u) * factorial(y)
+                    * factorial(a) * factorial(b))
+                out.append(((u, y, x), a, b, ways))
+    return out
 
 
-def _classify(groups: dict, prefactor: ValuePoly,
-              v1: Vertex, v2: Vertex | None) -> None:
-    weight = prefactor * v1.coupling * (v2.coupling if v2 is not None else ONE)
-    vertices = tuple(sorted([v1.label] + ([v2.label] if v2 is not None else [])))
-    counts: dict = {}
-    for c in enumerate_contractions(v1, v2):
-        if not c.connected:
-            continue
-        shape = c.integrand.terms[0].shape if c.integrand.terms else (0, 0, 0, 0)
-        key = (vertices, c.self_pairs, shape, c.orientation_sign)
-        if key not in counts:
-            counts[key] = 0
-            groups.setdefault(key, [0, ZERO, c.local_factor, _family(v1, v2, c)])
-        counts[key] += 1
-    # every matching of a class carries the same weight
-    for key, count in counts.items():
-        entry = groups[key]
-        entry[0] += count
-        entry[1] = entry[1] + weight * count
+def _self_pairs(*vertices: tuple[str, tuple[int, int, int]]) -> tuple[tuple[str, str], ...]:
+    """The sorted (vertex label, pair kind) list of (label, kinds) pairs."""
+    return tuple(sorted((label, name) for label, kinds in vertices
+                        for name, n in zip(_SELF_KIND.values(), kinds) for _ in range(n)))
+
+
+def _class_counts(first: tuple[str, list], second: tuple[str, list] | None = None
+                  ) -> dict[tuple, int]:
+    """(self pairs, shape, sign) -> matchings over the connected contractions
+    of one vertex or a pinned pair: `enumerate_contractions` grouped, counted.
+
+    Each vertex comes as (label, `_splits` of its legs).
+    """
+    label1, splits1 = first
+    if second is None:
+        return {(_self_pairs((label1, kinds)), (0, 0, 0, 0), 1): ways
+                for kinds, a, b, ways in splits1 if not a and not b}
+    label2, splits2 = second
+    counts: dict[tuple, int] = {}
+    for kinds1, a1, b1, ways1 in splits1:
+        for kinds2, a2, b2, ways2 in splits2:
+            # the free legs pair off across, with at least one cross line to
+            # keep the pair connected
+            if a1 + b1 != a2 + b2 or not a1 + b1:
+                continue
+            selfs = _self_pairs((label1, kinds1), (label2, kinds2))
+            free = factorial(a1) * factorial(b1) * factorial(a2) * factorial(b2)
+            for X in range(max(0, a1 - b2, a2 - b1), min(a1, a2) + 1):
+                Y, Z = a1 - X, a2 - X
+                U = b1 - Z
+                key = (selfs, (U, Y + Z, X, 0), PINNED_DERIVATIVE_SIGN ** (X + Z))
+                counts[key] = counts.get(key, 0) + ways1 * ways2 * free // (
+                    factorial(X) * factorial(Y) * factorial(Z) * factorial(U))
+    return counts
 
 
 def diagram_classes(order: int) -> list[DiagramClass]:
     """All connected diagram classes contributing at g^order, vanishing included."""
     if order not in (1, 2):
         raise ValueError("diagrams are generated to second order only")
+    # the equal-time factor of each distinct self-pair kind count, once per call
+    locals_: dict[tuple[int, ...], ValuePoly] = {}
+    # key -> [matchings, weight of one matching, equal-time value, family]
     groups: dict = {}
+
+    def add(vertices: tuple[str, ...], counts: dict[tuple, int], weight: ValuePoly,
+            family: str | None) -> None:
+        for (selfs, shape, sign), count in counts.items():
+            key = (vertices, selfs, shape, sign)
+            entry = groups.get(key)
+            if entry is not None:
+                entry[0] += count
+                continue
+            kinds = tuple(sum(name == kind for _, name in selfs) for kind in _SELF_KIND.values())
+            local = locals_.get(kinds)
+            if local is None:
+                local = locals_[kinds] = _equal_time(kinds)
+            groups[key] = [count, weight, local,
+                           family or ("bubble" if selfs else "watermelon")]
+
     for v in action_vertices(order):
-        _classify(groups, ONE, v, None)
+        add((v.label,), _class_counts((v.label, _splits(v.legs))), v.coupling, "local")
     if order == 2:
-        first = action_vertices(1)
-        prefactor = ValuePoly.rational(Fraction(-1, 2))
-        for v1 in first:
-            for v2 in first:
-                _classify(groups, prefactor, v1, v2)
-    classes = []
-    for (vertices, selfs, shape, sign), (mult, coeff, local, family) in sorted(
-            groups.items(), key=lambda kv: (kv[0][0], kv[0][2], kv[0][1], kv[0][3])):
-        classes.append(DiagramClass(order=order, family=family, vertices=vertices,
-                                    self_pairs=selfs, shape=shape, sign=sign,
-                                    multiplicity=mult, coefficient=coeff,
-                                    local_value=local))
-    return classes
+        first = [(v, (v.label, _splits(v.legs))) for v in action_vertices(1)]
+        for v1, split1 in first:
+            for v2, split2 in first:
+                add(tuple(sorted((v1.label, v2.label))), _class_counts(split1, split2),
+                    CUMULANT_PREFACTOR * v1.coupling * v2.coupling,
+                    "jacobian_bubble" if v1.jacobian or v2.jacobian else None)
+    return [DiagramClass(order=order, family=family, vertices=vertices, self_pairs=selfs,
+                         shape=shape, sign=sign, multiplicity=count,
+                         coefficient=weight * count, local_value=local)
+            for (vertices, selfs, shape, sign), (count, weight, local, family) in sorted(
+                groups.items(), key=lambda kv: (kv[0][0], kv[0][2], kv[0][1], kv[0][3]))]
 
 
 def order_contribution(classes: Iterable[DiagramClass]

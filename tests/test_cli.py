@@ -122,10 +122,13 @@ def test_reduce_command_with_omega(capsys):
     code, out, _ = run(capsys, "reduce", "D", "--omega", "1/2")
     assert code == 0
     assert out.strip() == "4"
-    # each 3^-30002 alone is past the digit limit, but the two cancel
-    code, out, _ = run(capsys, "reduce", "D w^-30000 - 3 D w^-30001 + D", "--omega", "3")
-    assert code == 0
-    assert out.strip() == "1/9"
+    # each 3^-30002 alone is past the digit limit, but the two cancel, and so
+    # do the two powers of 3 near -3e11, which are never built
+    for expression, value in [("D w^-30000 - 3 D w^-30001 + D", "1/9"),
+                              ("9 D w^-300000000000 - D w^-299999999998", "0")]:
+        code, out, _ = run(capsys, "reduce", expression, "--omega", "3")
+        assert code == 0
+        assert out.strip() == value
 
 
 def test_reduce_command_json_trace(capsys):
@@ -165,10 +168,12 @@ def test_reduce_command_result_too_long_to_print_exit_2(capsys):
     # D^20000 is past the input power bound; the product of two 3000-digit
     # literals is under it, but past the digit limit of int-to-str conversion,
     # and so is the sum of two 4300-digit exponents of one ring symbol; 3 to
-    # the power 3e11 is past it too, and has to fail before it is built
+    # the power 3e11 is past it too, and has to fail before it is built, also
+    # where two terms reduce to neighbouring powers of w
     big = "7" * 3000
     nines = "9" * 4300
-    expressions = [["D^20000"], [f"{big} {big} D"], ["D w^-300000000000", "--omega", "3"]]
+    expressions = [["D^20000"], [f"{big} {big} D"], ["D w^-300000000000", "--omega", "3"],
+                   ["D w^-300000000000 + D^2 w^-300000000000", "--omega", "3"]]
     expressions += [[f"{name}^{nines} {name}^{nines} D"] for name in ("w", "a", "d0", "g")]
     for expression in expressions:
         for argv in (["reduce", *expression], ["reduce", "--json", *expression]):
@@ -283,6 +288,20 @@ def test_diagrams_command_json(capsys):
                 "local_value", "contribution"} <= set(row) for row in rows)
     assert any(row["family"] == "watermelon" for row in rows)
     assert sum(row["matchings"] for row in rows if row["vertices"] == "qd2q4") == 15
+
+
+GOLDEN = Path(__file__).resolve().parent / "data"
+
+
+@pytest.mark.parametrize("argv, golden", [
+    (["--order", "2"], "diagrams_order_2.txt"),
+    (["--order", "2", "--json"], "diagrams_order_2.json"),
+    (["--order", "2", "--a", "1/2", "--veltman"], "diagrams_order_2_a_half_veltman.txt"),
+], ids=["table", "json", "a_half_veltman"])
+def test_diagrams_order_2_output_is_pinned(capsys, argv, golden):
+    code, out, err = run(capsys, "diagrams", *argv)
+    assert code == 0 and err == ""
+    assert out == (GOLDEN / golden).read_text()
 
 
 def test_bad_usage_exits_2():

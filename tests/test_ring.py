@@ -1,5 +1,6 @@
 """Exact-coefficient ring: construction, arithmetic, substitution, rendering."""
 
+import sys
 from fractions import Fraction
 
 import pytest
@@ -137,6 +138,46 @@ def test_substitute_rejects_bad_bindings():
         W.substitute({"w": -1})
     with pytest.raises(ValueError):
         W.substitute({"omega": 1})
+
+
+def test_substitute_bounds_a_term_under_two_bindings():
+    big = ValuePoly.monomial(1, w=-300000000000, a=1)
+    for bindings in ({"w": 3, "a": 2}, {"a": 2, "w": 3}):
+        with pytest.raises(ValueError, match="more than .* digits"):
+            big.substitute(bindings)
+
+
+def test_substitute_sums_far_apart_powers_without_building_them():
+    far = 300000000000
+    w = ValuePoly.monomial
+    # the two far terms cancel, so the near one is all that is left
+    assert (w(1, w=2) + w(9, w=far + 2) - w(1, w=far + 4)).substitute({"w": 3}) == 9
+    with pytest.raises(ValueError, match="more than .* digits"):
+        (ONE + w(1, w=far)).substitute({"w": 3})
+
+
+@given(st.lists(st.tuples(st.sampled_from([-6000, 0, 5125, 6000]), st.integers(-2, 2),
+                          rationals(max_num=9, max_den=4)), min_size=1, max_size=5),
+       rationals(max_num=9, max_den=7).filter(lambda r: r > 0))
+@settings(max_examples=60, deadline=None)
+def test_substitute_raises_only_past_the_digit_limit(terms, value):
+    # a limit of 640 digits splits runs at gaps of 8 * 640 = 5120 powers, and
+    # joins two runs about 5125 powers apart again before it builds them
+    poly = ZERO
+    for base, offset, coef in terms:
+        poly = poly + ValuePoly.monomial(coef, w=base + offset)
+    exact = sum((coef * value ** k for (k, *_), coef in poly.items()), Fraction(0))
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        got = poly.substitute({"w": value})
+    except ValueError:
+        # more than 640 digits upstairs or downstairs
+        assert max(abs(exact.numerator), exact.denominator) >= 10 ** 640
+    else:
+        assert got == exact
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def test_render_fixed_forms():

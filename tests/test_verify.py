@@ -77,21 +77,27 @@ def test_order_check_under_bindings():
 
 
 def test_diagram_identities_classifies_each_order_once(monkeypatch):
-    enumerated = []
-    original = wick.enumerate_contractions
+    # the census counts its classes: nothing on the order-check path enumerates
+    classified, enumerated = [], []
+    classes, contractions = wick.diagram_classes, wick.enumerate_contractions
 
-    def counting(*vertices):
-        result = original(*vertices)
-        enumerated.append(len(result))
-        return result
+    def counting_classes(order):
+        classified.append(order)
+        return classes(order)
 
-    monkeypatch.setattr(wick, "enumerate_contractions", counting)
+    def counting_contractions(*vertices):
+        enumerated.append(vertices)
+        return contractions(*vertices)
+
+    monkeypatch.setattr(verify, "diagram_classes", counting_classes)
+    monkeypatch.setattr(wick, "enumerate_contractions", counting_contractions)
+    diagram_identities()
+    assert sorted(classified) == [1, 2]
     diagram_classes(1)
     diagram_classes(2)
-    once = sum(enumerated)
-    enumerated.clear()
-    diagram_identities()
-    assert sum(enumerated) == once == 7 + 516
+    order_check(1)
+    order_check(2)
+    assert enumerated == []
 
 
 def test_naive_equal_time_value_leaves_a_d0_residue(monkeypatch):
@@ -176,6 +182,15 @@ def _ibp_contact_dropped(monkeypatch):
                         lambda t: IntegrandSum([u for u in step(t) if not u.q]))
 
 
+def _pinned_derivative_unsigned(monkeypatch):
+    # q(t) q.(0) -> +dD and q.(t) q.(0) -> +ddD: the lines of D(t + s), not D(t - s)
+    monkeypatch.setattr(wick, "PINNED_DERIVATIVE_SIGN", 1)
+
+
+def _cumulant_prefactor_plus_half(monkeypatch):
+    monkeypatch.setattr(wick, "CUMULANT_PREFACTOR", Fraction(1, 2))
+
+
 def _lebesgue_dd_fourth(monkeypatch):
     # integral dD^4 at its Lebesgue value, 1/8 w^-1 above the rule value
     rule_reduce = verify.reduce
@@ -226,6 +241,17 @@ MUTANTS = {
         ("0", "-1/4 g^2 w^-1", "-1/4 g^2 w^-1", "-1/4 g^2 w^-1"),
         {"local plus watermelon sum", "bubbles cancel local plus watermelon"},
         {"dD^4 vs -3 ddD dD^2 D", "dD^4"}),
+    # not caught: with the lines of D(t + s) every check still passes
+    _pinned_derivative_unsigned: (
+        ("0", "0", "0", "0"),
+        set(),
+        set()),
+    _cumulant_prefactor_plus_half: (
+        ("0", "3/2 g^2 d0 w^-2 - 1/6 g^2 w^-1", "3/2 g^2 d0 w^-2 - 1/6 g^2 w^-1",
+         "-1/6 g^2 w^-1"),
+        {"jacobian bubble sum", "full bubble sum", "local plus watermelon sum",
+         "bubbles cancel local plus watermelon"},
+        set()),
 }
 
 

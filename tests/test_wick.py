@@ -9,10 +9,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from singint import (A, D0, G, ONE, W, ZERO, D_AT_ZERO, DDDOT_AT_ZERO,
-                     DDOT_AT_ZERO, IntegrandSum, ValuePoly, Vertex, action_vertices,
-                     diagram_classes, enumerate_contractions, mono,
+                     DDOT_AT_ZERO, DiagramClass, IntegrandSum, ValuePoly, Vertex,
+                     action_vertices, diagram_classes, enumerate_contractions, mono,
                      order_check, order_contribution, perfect_matchings, reduce)
-from singint.wick import Q, QDOT
+from singint import wick
+from singint.wick import Q, QDOT, _class_counts, _splits
 
 # equal-time value of one same-vertex pair; a qdot qdot pair is -ddD(0)
 SELF_VALUES = {(Q, Q): D_AT_ZERO, (QDOT, Q): DDOT_AT_ZERO, (QDOT, QDOT): -DDDOT_AT_ZERO}
@@ -226,6 +227,99 @@ def test_no_pairing_outlives_its_call():
     assert {id(c.pairing) for c in first}.isdisjoint(id(c.pairing) for c in again)
     assert ({id(pair) for c in first for pair in c.pairing}
             .isdisjoint(id(pair) for c in again for pair in c.pairing))
+
+
+def _enumerated_counts(v1, v2=None):
+    """(self pairs, shape, sign) -> matchings, grouped from the enumerated contractions."""
+    counts = {}
+    for c in enumerate_contractions(v1, v2):
+        if c.connected:
+            shape = c.integrand.terms[0].shape if c.integrand.terms else (0, 0, 0, 0)
+            key = (c.self_pairs, shape, c.orientation_sign)
+            counts[key] = counts.get(key, 0) + 1
+    return counts
+
+
+def _counted(v1, v2=None):
+    return _class_counts(*((v.label, _splits(v.legs)) for v in (v1, v2) if v is not None))
+
+
+def _enumerated_classes(order):
+    """`diagram_classes(order)` built by grouping every enumerated matching."""
+    groups = {}
+
+    def classify(prefactor, v1, v2=None):
+        weight = prefactor * v1.coupling * (v2.coupling if v2 is not None else ONE)
+        vertices = tuple(sorted(v.label for v in (v1, v2) if v is not None))
+        for c in enumerate_contractions(v1, v2):
+            if not c.connected:
+                continue
+            if v2 is None:
+                family = "local"
+            elif v1.jacobian or v2.jacobian:
+                family = "jacobian_bubble"
+            else:
+                family = "bubble" if c.self_pairs else "watermelon"
+            shape = c.integrand.terms[0].shape if c.integrand.terms else (0, 0, 0, 0)
+            entry = groups.setdefault((vertices, c.self_pairs, shape, c.orientation_sign),
+                                      [0, ZERO, c.local_factor, family])
+            entry[0] += 1
+            entry[1] = entry[1] + weight
+
+    for v in action_vertices(order):
+        classify(ONE, v)
+    if order == 2:
+        for v1 in action_vertices(1):
+            for v2 in action_vertices(1):
+                classify(ValuePoly.rational(wick.CUMULANT_PREFACTOR), v1, v2)
+    return [DiagramClass(order, family, vertices, selfs, shape, sign, count, coeff, local)
+            for (vertices, selfs, shape, sign), (count, coeff, local, family) in sorted(
+                groups.items(), key=lambda kv: (kv[0][0], kv[0][2], kv[0][1], kv[0][3]))]
+
+
+def _singles_and_pairs():
+    """The 6 vertices alone and the 18 ordered pairs within orders 1 and 2."""
+    out = []
+    for order in (1, 2):
+        vertices = action_vertices(order)
+        out += [(v, None) for v in vertices]
+        out += [(v1, v2) for v1 in vertices for v2 in vertices]
+    return out
+
+
+def test_counted_classes_equal_enumerated_ones():
+    checked = _singles_and_pairs()
+    assert len(checked) == 24
+    assert sum(len(v1.legs) + len(v2.legs) == 12 for v1, v2 in checked if v2) == 4
+    for v1, v2 in checked:
+        assert _counted(v1, v2) == _enumerated_counts(v1, v2), (v1.label, v2 and v2.label)
+
+
+def test_diagram_classes_equal_the_enumerated_census():
+    for order in (1, 2):
+        assert diagram_classes(order) == _enumerated_classes(order)
+
+
+@st.composite
+def _vertex_pairs(draw):
+    legs = st.lists(st.sampled_from([Q, QDOT]), max_size=10)
+    first = draw(legs)
+    second = draw(st.none() | st.lists(st.sampled_from([Q, QDOT]),
+                                       max_size=10 - len(first)))
+    label = draw(st.sampled_from(["u", "v"]))
+    v1 = Vertex("u", tuple(first), ONE, jacobian=False)
+    v2 = None if second is None else Vertex(label, tuple(second), ONE, jacobian=False)
+    return v1, v2
+
+
+@given(_vertex_pairs())
+@settings(max_examples=150, deadline=None)
+def test_counted_classes_equal_enumerated_ones_for_any_legs(vertices):
+    v1, v2 = vertices
+    if (len(v1.legs) + (len(v2.legs) if v2 else 0)) % 2:
+        assert _counted(v1, v2) == {}
+        return
+    assert _counted(v1, v2) == _enumerated_counts(v1, v2)
 
 
 def test_class_coefficients_are_multiplicity_times_prefactor_times_couplings():
