@@ -29,9 +29,12 @@ e.g. "dD^2 + w^2 D^2" or "-3/32 w^-1 dD^4": whitespace separates atoms, a
     symbols   w  d0  a  g                'w' admits negative powers
     numbers   integers and fractions     e.g. 3, 1/2, 3/32
 
-`parse` walks the tokens once.  It keeps each term as the data model stores
-it, a Fraction and one power per factor and symbol name, and builds the
-term's coefficient with one `ValuePoly.monomial` call at the term's end.
+`parse` finds the tokens in one regex pass, after one search for a
+character outside the language, and works out a token's column only when
+it raises a ParseError.  It walks the tokens once, keeps each term as an
+int numerator and denominator and one power per factor and symbol name,
+and builds the term's coefficient from one Fraction with one
+`ValuePoly.monomial` call at the term's end.
 """
 
 from __future__ import annotations
@@ -214,88 +217,107 @@ class ParseError(ValueError):
         self.column = column
 
 
-_TOKEN_RE = re.compile(r"(?P<num>\d+)|(?P<name>[A-Za-z][A-Za-z0-9]*)|(?P<op>[\^+\-*/])|(?P<bad>\S)")
+# a token is a number, a name or one other non-space character; the token kind
+# is read off its first character, in the classes of the first two alternatives
+_TOKEN_RE = re.compile(r"\d+|[A-Za-z][A-Za-z0-9]*|\S")
+_OUTSIDE_RE = re.compile(r"[^\s\dA-Za-z^+\-*/]")
+_LETTERS = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz")
 
 
-def _tokenize(text: str) -> list[tuple[str, str, int]]:
+def _tokens(text: str) -> list[str]:
+    """The token strings of `text` and an end token "", after the lexical checks.
+
+    A character outside the language and a number past the digit limit are
+    reported before any grammar error, whichever comes first in the text.
+    """
+    bad = _OUTSIDE_RE.search(text)
+    end = bad.start() if bad else len(text)
+    tokens = _TOKEN_RE.findall(text, 0, end)
     max_digits = _max_str_digits()
-    tokens = []
-    for match in _TOKEN_RE.finditer(text):
-        column = match.start() + 1
-        if match.lastgroup == "bad":
-            raise ParseError(f"unexpected character {match.group()!r}", column)
-        if match.lastgroup == "num" and max_digits and len(match.group()) > max_digits:
-            raise ParseError(f"number longer than {max_digits} digits", column)
-        tokens.append((match.lastgroup, match.group(), column))
-    tokens.append(("end", "", len(text) + 1))
+    if max_digits and end > max_digits:  # a shorter text holds no such number
+        for index, tok in enumerate(tokens):
+            if len(tok) > max_digits and tok[0].isdecimal():
+                raise ParseError(f"number longer than {max_digits} digits", _column(text, index))
+    if bad:
+        raise ParseError(f"unexpected character {bad.group()!r}", end + 1)
+    tokens.append("")
     return tokens
 
 
-def _integer(token: tuple[str, str, int], message: str) -> int:
-    """The integer a number token spells, or a ParseError at any other token."""
-    kind, text, column = token
-    if kind != "num":
-        raise ParseError(message, column)
-    return int(text)
+def _column(text: str, index: int) -> int:
+    """The 1-based column of token `index` of `text`; the end token's is len(text) + 1."""
+    for k, match in enumerate(_TOKEN_RE.finditer(text)):
+        if k == index:
+            return match.start() + 1
+    return len(text) + 1
+
+
+def _integer(text: str, tokens: list[str], index: int, message: str) -> int:
+    """The integer token `index` spells, or a ParseError at any other token."""
+    if not tokens[index][:1].isdecimal():
+        raise ParseError(message, _column(text, index))
+    return int(tokens[index])
 
 
 def parse(text: str) -> IntegrandSum:
     """Parse the expression language into a canonical IntegrandSum, in one pass."""
-    tokens = _tokenize(text)
+    tokens = _tokens(text)
     terms = []
     i = 0
     while True:
-        sign = tokens[i][1]
-        rational = Fraction(-1 if sign == "-" else 1)
-        if sign in ("+", "-"):  # optional before the first term, required after it
+        tok = tokens[i]
+        numerator, denominator = (-1 if tok == "-" else 1), 1
+        if tok in ("+", "-"):  # optional before the first term, required after it
             i += 1
         powers = dict.fromkeys(FACTOR_NAMES + SYMBOL_NAMES, 0)
         saw_atom = False
         while True:
-            kind, tok, column = tokens[i]
-            if kind == "num":
-                denominator = 1
-                if tokens[i + 1][1] == "/":
-                    denominator = _integer(tokens[i + 2], "expected a denominator")
-                    if not denominator:
-                        raise ParseError("zero denominator", tokens[i + 2][2])
-                    i += 2
-                rational *= Fraction(int(tok), denominator)
-                i += 1
-            elif kind == "name":
+            tok = tokens[i]
+            first = tok[:1]
+            if first in _LETTERS:
                 if tok not in powers:
-                    raise ParseError(f"unknown symbol {tok!r}", column)
+                    raise ParseError(f"unknown symbol {tok!r}", _column(text, i))
+                name_index = i
                 i += 1
                 power = 1
-                if tokens[i][1] == "^":
-                    negative = tokens[i + 1][1] == "-"
+                if tokens[i] == "^":
+                    negative = tokens[i + 1] == "-"
                     i += 2 if negative else 1
-                    power = _integer(tokens[i], "expected an integer power after '^'")
+                    power = _integer(text, tokens, i, "expected an integer power after '^'")
                     i += 1
                     if negative:
                         power = -power
                     if power < 0 and tok != "w":
-                        raise ParseError(f"negative power of {tok}", column)
+                        raise ParseError(f"negative power of {tok}", _column(text, name_index))
                 powers[tok] += power
+            elif first.isdecimal():
+                numerator *= int(tok)
+                if tokens[i + 1] == "/":
+                    i += 2
+                    below = _integer(text, tokens, i, "expected a denominator")
+                    if not below:
+                        raise ParseError("zero denominator", _column(text, i))
+                    denominator *= below
+                i += 1
             elif tok == "*" and saw_atom:  # a '*' only joins two atoms of one term
-                after_kind, after, after_column = tokens[i + 1]
-                if after_kind not in ("num", "name"):
+                after = tokens[i + 1]
+                if not (after[:1] in _LETTERS or after[:1].isdecimal()):
                     raise ParseError(f"expected a factor after '*', found {after or 'end'!r}",
-                                     after_column)
+                                     _column(text, i + 1))
                 i += 1
                 continue
             else:
                 break
             saw_atom = True
         if not saw_atom:
-            raise ParseError(f"expected a term, found {tok or 'end'!r}", column)
+            raise ParseError(f"expected a term, found {tok or 'end'!r}", _column(text, i))
         m, n, p, q, w, d0, a, g = powers.values()
-        coeff = ValuePoly.monomial(rational, w=w, d0=d0, a=a, g=g)
+        coeff = ValuePoly.monomial(Fraction(numerator, denominator), w=w, d0=d0, a=a, g=g)
         terms.append(IntegrandMonomial(m, n, p, q, coeff))
-        if kind == "end":
+        if not tok:
             return IntegrandSum(terms)
         if tok not in ("+", "-"):
-            raise ParseError(f"expected '+' or '-' before {tok!r}", column)
+            raise ParseError(f"expected '+' or '-' before {tok!r}", _column(text, i))
 
 
 def render_sum(s: IntegrandSum) -> str:

@@ -89,7 +89,7 @@ def substitute_field_equation(s: IntegrandSum) -> IntegrandSum:
         # (-delta + w^2 D)^p = sum_j C(p,j) (-1)^j delta^j (w^2 D)^(p-j)
         binom = 1
         for j in range(t.p + 1):
-            coef = t.coeff * Fraction((-1) ** j * binom) * ValuePoly.monomial(1, w=2 * (t.p - j))
+            coef = t.coeff * ValuePoly.monomial((-1) ** j * binom, w=2 * (t.p - j))
             out.append(mono(t.m + t.p - j, t.n, 0, t.q + j, coef))
             binom = binom * (t.p - j) // (j + 1)
     return IntegrandSum(out)

@@ -13,7 +13,12 @@ enter; substitution is the only way to leave it.
 
 The public constructor validates its input.  Ring operations work on
 canonical operands, so they build their results without re-validating
-them: they only drop the coefficients that cancelled.
+them: they only drop the coefficients that cancelled.  Most operands the
+reducer meets are zero or a single term, and those take direct paths: a
+zero summand returns the other summand, a zero factor returns ZERO, two
+single terms multiply to their one product term, and a single term's
+power raises its coefficient and scales its exponents.  A ValuePoly is
+immutable, so returning an operand itself is safe.
 """
 
 from __future__ import annotations
@@ -77,6 +82,10 @@ class ValuePoly:
 
     def __add__(self, other: "ValuePoly | RationalLike") -> "ValuePoly":
         other = _coerce(other)
+        if not other._terms:
+            return self
+        if not self._terms:
+            return other
         merged = dict(self._terms)
         for exps, coef in other._terms.items():
             if exps in merged:
@@ -97,10 +106,19 @@ class ValuePoly:
         return _coerce(other) + (-self)
 
     def __mul__(self, other: "ValuePoly | RationalLike") -> "ValuePoly":
-        other = _coerce(other)
+        left, right = self._terms, _coerce(other)._terms
+        if not left or not right:
+            return ZERO
+        if len(left) == 1 and len(right) == 1:
+            # nonzero times nonzero: the one product term needs no cancelling
+            ((e1, c1),) = left.items()
+            ((e2, c2),) = right.items()
+            poly = object.__new__(ValuePoly)
+            poly._terms = {(e1[0] + e2[0], e1[1] + e2[1], e1[2] + e2[2], e1[3] + e2[3]): c1 * c2}
+            return poly
         out: dict[Exponents, Fraction] = {}
-        for e1, c1 in self._terms.items():
-            for e2, c2 in other._terms.items():
+        for e1, c1 in left.items():
+            for e2, c2 in right.items():
                 exps = (e1[0] + e2[0], e1[1] + e2[1], e1[2] + e2[2], e1[3] + e2[3])
                 if exps in out:
                     out[exps] += c1 * c2
@@ -115,6 +133,12 @@ class ValuePoly:
             raise ValueError("ValuePoly powers must be nonnegative integers")
         if not exponent:
             return ONE
+        if len(self._terms) == 1:
+            (((kw, kd0, ka, kg), coef),) = self._terms.items()
+            poly = object.__new__(ValuePoly)
+            poly._terms = {(kw * exponent, kd0 * exponent, ka * exponent, kg * exponent):
+                           coef ** exponent}
+            return poly
         # start at the lowest set bit and square only while bits remain
         base = self
         while not exponent & 1:
@@ -130,6 +154,8 @@ class ValuePoly:
         return result
 
     def __eq__(self, other: object) -> bool:
+        if isinstance(other, bool):  # unequal, as 1.0 is: no bool enters the ring
+            return NotImplemented
         if isinstance(other, (int, Fraction)):
             other = _coerce(other)
         if not isinstance(other, ValuePoly):
@@ -315,7 +341,7 @@ def _canonical(terms: dict[Exponents, Fraction]) -> ValuePoly:
 def _coerce(value: "ValuePoly | RationalLike") -> ValuePoly:
     if isinstance(value, ValuePoly):
         return value
-    return ValuePoly.rational(value)
+    return _canonical({(0, 0, 0, 0): _as_fraction(value)})
 
 
 def wpow(k: int) -> ValuePoly:

@@ -39,6 +39,11 @@ def value_polys(draw, max_terms: int = 4) -> ValuePoly:
     return total
 
 
+def ring_operands() -> st.SearchStrategy[ValuePoly]:
+    """ZERO, single terms and multi-term polys alike: each takes its own ring path."""
+    return st.one_of(st.just(ZERO), ring_monomials(), value_polys())
+
+
 @st.composite
 def integrand_monomials(draw, max_q: int = 2, allow_bare: bool = True) -> IntegrandMonomial:
     shapes = st.tuples(

@@ -51,6 +51,11 @@ def test_parse_repeated_factor_powers_accumulate():
     assert parse("D D^2 D") == integrand_sum(mono(4, 0, 0, 0))
 
 
+def test_parse_reads_unicode_decimal_digits():
+    assert parse("٣ D") == parse("3 D")
+    assert parse("D^٣٣") == parse("D^33")
+
+
 def test_parse_errors_carry_columns():
     too_long = "number longer than 4300 digits"
     cases = [
@@ -73,6 +78,17 @@ def test_parse_errors_carry_columns():
         ("* D", 1, "expected a term, found '*'"),
         ("D + * D", 5, "expected a term, found '*'"),
         ("- * 2 D", 3, "expected a term, found '*'"),
+        # characters outside the language, Unicode digits that are not decimal among them
+        ("é D", 1, "unexpected character 'é'"),
+        ("D  +  é", 7, "unexpected character 'é'"),
+        ("² D", 1, "unexpected character '²'"),
+        ("Ⅻ D", 1, "unexpected character 'Ⅻ'"),
+        ("D^ - 2", 1, "negative power of D"),
+        ("D w^-1 ^ 2", 8, "expected '+' or '-' before '^'"),
+        ("D D1", 3, "unknown symbol 'D1'"),
+        # a bad character and the digit limit come before grammar errors
+        ("D + + " + "9" * 4301, 7, too_long),
+        ("D + + é", 7, "unexpected character 'é'"),
     ]
     for text, column, message in cases:
         with pytest.raises(ParseError) as err:

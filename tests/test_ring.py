@@ -7,8 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import rationals, value_polys
-from singint import A, D0, G, ONE, W, ZERO, ValuePoly, wpow
+from conftest import nonzero_rationals, rationals, ring_operands, value_polys
+from singint import (A, D0, G, ONE, W, ZERO, ValuePoly, integrand_sum, mono,
+                     substitute_field_equation, wpow)
 
 
 half = Fraction(1, 2)
@@ -66,6 +67,21 @@ def test_equality_against_plain_rationals():
     assert W != 1
 
 
+def test_bools_compare_unequal_and_stay_out_of_arithmetic():
+    # a bool compares unequal, as 1.0 does, yet still raises in arithmetic
+    assert (ONE == True) is False
+    assert (ONE != True) is True
+    assert (ZERO == False) is False
+    assert (ZERO != False) is True
+    assert len({ONE, True}) == 2
+    assert len({ZERO, False}) == 2
+    for bad in (True, False):
+        for op in (lambda: ONE * bad, lambda: bad * ONE, lambda: ONE + bad,
+                   lambda: bad + ONE, lambda: ZERO * bad, lambda: ZERO + bad):
+            with pytest.raises(TypeError):
+                op()
+
+
 def test_arithmetic_with_scalars_on_either_side():
     assert 1 + W - 1 == W
     assert 2 * W == W + W
@@ -99,6 +115,37 @@ def test_power_multiplies_only_as_the_bits_need(monkeypatch, k, multiplies):
     got = p ** k
     assert len(calls) == multiplies
     assert got == expected
+
+
+def test_field_equation_multiplies_once_per_binomial_term(monkeypatch):
+    # ddD^2 D = D (-delta + w^2 D)^2 expands to three terms, one ring multiply each
+    calls = []
+    mul = ValuePoly.__mul__
+
+    def counted(self, other):
+        calls.append(1)
+        return mul(self, other)
+
+    monkeypatch.setattr(ValuePoly, "__mul__", counted)
+    got = substitute_field_equation(integrand_sum(mono(1, 0, 2, 0, coeff=half)))
+    assert len(calls) == 3
+    assert got == integrand_sum(mono(1, 0, 0, 2, coeff=half),
+                                mono(2, 0, 0, 1, coeff=-wpow(2)),
+                                mono(3, 0, 0, 0, coeff=half * wpow(4)))
+
+
+@given(nonzero_rationals(), st.integers(min_value=-4, max_value=-1),
+       st.integers(min_value=0, max_value=3), st.integers(min_value=0, max_value=3),
+       st.integers(min_value=0, max_value=3), st.integers(min_value=0, max_value=12))
+@settings(max_examples=100, deadline=None)
+def test_single_term_power_matches_iterated_product(coef, w, d0, a, g, k):
+    m = ValuePoly.monomial(coef, w=w, d0=d0, a=a, g=g)
+    expected = ONE
+    for _ in range(k):
+        expected = expected * m
+    got = m ** k
+    assert got == expected
+    _assert_canonical(got)
 
 
 def test_degree_and_coefficient_queries():
@@ -209,7 +256,7 @@ def test_hash_agrees_with_equality():
     assert len({p, q}) == 1
 
 
-@given(value_polys(), value_polys(), value_polys())
+@given(ring_operands(), ring_operands(), ring_operands())
 @settings(max_examples=150, deadline=None)
 def test_ring_laws_small(x, y, z):
     assert (x + y) + z == x + (y + z)
@@ -222,7 +269,7 @@ def test_ring_laws_small(x, y, z):
     assert x - x == ZERO
 
 
-@given(value_polys(), st.integers(min_value=0, max_value=5))
+@given(ring_operands(), st.integers(min_value=0, max_value=5))
 @settings(max_examples=100, deadline=None)
 def test_pow_matches_iterated_product(x, k):
     expected = ONE
@@ -252,7 +299,7 @@ def _assert_canonical(p):
     assert hash(rebuilt) == hash(p)
 
 
-@given(value_polys(), value_polys(), st.integers(min_value=-3, max_value=3),
+@given(ring_operands(), ring_operands(), st.integers(min_value=-3, max_value=3),
        st.integers(min_value=0, max_value=3))
 @settings(max_examples=300, deadline=None)
 def test_operation_results_are_canonical(x, y, k, e):
