@@ -78,14 +78,14 @@ def test_parse_errors_carry_columns():
         ("* D", 1, "expected a term, found '*'"),
         ("D + * D", 5, "expected a term, found '*'"),
         ("- * 2 D", 3, "expected a term, found '*'"),
+        ("D^ - 2", 1, "negative power of D"),
+        ("D w^-1 ^ 2", 8, "expected '+' or '-' before '^'"),
+        ("D D1", 3, "unknown symbol 'D1'"),
         # characters outside the language, Unicode digits that are not decimal among them
         ("é D", 1, "unexpected character 'é'"),
         ("D  +  é", 7, "unexpected character 'é'"),
         ("² D", 1, "unexpected character '²'"),
         ("Ⅻ D", 1, "unexpected character 'Ⅻ'"),
-        ("D^ - 2", 1, "negative power of D"),
-        ("D w^-1 ^ 2", 8, "expected '+' or '-' before '^'"),
-        ("D D1", 3, "unknown symbol 'D1'"),
         # a bad character and the digit limit come before grammar errors
         ("D + + " + "9" * 4301, 7, too_long),
         ("D + + é", 7, "unexpected character 'é'"),

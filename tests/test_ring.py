@@ -146,6 +146,9 @@ def test_single_term_power_matches_iterated_product(coef, w, d0, a, g, k):
     got = m ** k
     assert got == expected
     _assert_canonical(got)
+    # and against plain Fraction arithmetic, which shares no ring code path
+    bindings = {"w": 3, "d0": 2, "a": 5, "g": 7}
+    assert got.substitute(bindings) == m.substitute(bindings).as_fraction() ** k
 
 
 def test_degree_and_coefficient_queries():
