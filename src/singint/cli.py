@@ -9,11 +9,13 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from fractions import Fraction
 
 from .integrand import IntegrandSum, ParseError, parse, render_sum
 from .reducer import ReductionTrace, reduce
+from .ring import _max_str_digits
 from .verify import diagram_identities, identity_suite, order_check, symbol_bindings
 from .wick import diagram_classes
 
@@ -116,7 +118,20 @@ def _cmd_diagrams(args) -> int:
     return 0
 
 
+# a decimal literal with an exponent; group 1 holds the exponent's digits
+_EXPONENT = re.compile(r"\s*[-+]?[\d_.]+[eE][-+]?([\d_]+)\s*\Z")
+
+
 def _fraction_arg(text: str) -> Fraction:
+    # Fraction builds 10**exponent in full, so a huge exponent would hang
+    # before the digit limit of int-to-str conversion could refuse it
+    limit = _max_str_digits()
+    exponent = _EXPONENT.match(text)
+    if limit and exponent:
+        digits = exponent.group(1).replace("_", "").lstrip("0")
+        if len(digits) > len(str(limit)) or int(digits or 0) > limit:
+            raise argparse.ArgumentTypeError(
+                f"a decimal exponent past {limit} makes a number of more than {limit} digits")
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:

@@ -54,10 +54,17 @@ remainder once and joins every later prefix that leaves the same remainder
 to them: in a 12-leg call 693 prefixes reach only 84 remainders.  The memo
 is a local of the call.  Below 10 legs no remainder repeats, so it is not
 used there.
+
+A 12-leg call keeps ~21,000 containers, a pairing tuple and a
+`Contraction` per matching, and with the cyclic collector on they set off
+~25 collection passes that find nothing: nothing the call makes forms a
+reference cycle, so reference counting frees all of it.  The collector is
+therefore paused for the call and restored to its prior state afterwards.
 """
 
 from __future__ import annotations
 
+import gc
 from fractions import Fraction
 from math import factorial
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
@@ -193,7 +200,25 @@ def _tails(rest: tuple[int, ...], table: list[list]) -> list[tuple[tuple, int]]:
 
 
 def enumerate_contractions(v1: Vertex, v2: Vertex | None = None) -> list[Contraction]:
-    """Every perfect matching of the legs of one vertex or of a pinned pair."""
+    """Every perfect matching of the legs of one vertex or of a pinned pair.
+
+    The cyclic collector is paused for the call and then put back as it
+    was, also when the call raises.  `gc.disable` acts on the whole
+    process: another thread's allocations go uncollected for the ~10 ms of
+    a 12-leg call.  The generation-0 pass that the call's allocations have
+    earned then runs once, over the live result, at the caller's next
+    container allocation.
+    """
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return _contractions(v1, v2)
+    finally:
+        if was_enabled:
+            gc.enable()
+
+
+def _contractions(v1: Vertex, v2: Vertex | None) -> list[Contraction]:
     legs: list[Leg] = [(0, i, kind) for i, kind in enumerate(v1.legs)]
     if v2 is not None:
         legs += [(1, i, kind) for i, kind in enumerate(v2.legs)]

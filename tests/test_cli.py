@@ -191,14 +191,50 @@ def test_reduce_command_result_too_long_to_print_exit_2(capsys):
     expressions = [["D^20000"], [f"{big} {big} D"], ["D w^-300000000000", "--omega", "3"],
                    ["D w^-300000000000 + D^2 w^-300000000000", "--omega", "3"]]
     expressions += [[f"{name}^{nines} {name}^{nines} D"] for name in ("w", "a", "d0", "g")]
-    for expression in expressions:
-        for argv in (["reduce", *expression], ["reduce", "--json", *expression]):
-            code, out, err = run(capsys, *argv)
-            assert code == 2
-            assert out == ""
-            assert err.startswith("error: ") and err.count("\n") == 1
-            assert "Traceback" not in err
-            assert "set_int_max_str_digits" not in err
+    argvs = [argv for expression in expressions
+             for argv in (["reduce", *expression], ["reduce", "--json", *expression])]
+    # a binding of 4301 digits is let in, but no row or label can print it
+    argvs += [[command, *flags, "--order", "2", "--a", "1e4300"]
+              for command in ("verify", "diagrams") for flags in ([], ["--json"])]
+    for argv in argvs:
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+        assert "set_int_max_str_digits" not in err
+
+
+def _singint(*argv):
+    """Run the CLI in a fresh interpreter; a hang fails the test after 30 s."""
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    return subprocess.run([sys.executable, "-m", "singint.cli", *argv], capture_output=True,
+                          text=True, env=env, timeout=30)
+
+
+def test_huge_decimal_exponent_is_refused_before_it_is_built():
+    # Fraction builds 10**exponent in full: 1e10000000 alone takes seconds.
+    # An exponent past the digit limit is refused by argparse, so exit 2;
+    # --omega 1e5000 evaluated to 1 before, and is refused now
+    for argv in (["verify", "--order", "1", "--a", "1e100000000"],
+                 ["diagrams", "--order", "2", "--a=-2.5E-100000000"],
+                 ["reduce", "delta", "--omega", "1e5000"]):
+        done = _singint(*argv)
+        assert done.returncode == 2
+        assert done.stdout == ""
+        assert "decimal exponent past" in done.stderr
+        assert "Traceback" not in done.stderr
+
+
+def test_small_decimal_exponents_are_read_as_before(capsys):
+    for a, shown in [("1e3", "1000"), ("1.5", "3/2"), ("1e-3", "1/1000"), ("3/4", "3/4"),
+                     ("1_0e0_3", "10000")]:
+        code, out, _ = run(capsys, "verify", "--order", "1", "--a", a)
+        assert code == 0
+        assert f"(a = {shown})" in out
+    code, out, _ = run(capsys, "reduce", "D", "--omega", "2e-1")
+    assert code == 0
+    assert out.strip() == "25"
 
 
 def test_identities_command(capsys):

@@ -201,7 +201,10 @@ def test_contractions_come_in_perfect_matchings_order():
 
 def test_results_need_no_cycle_collector():
     v = {x.label: x for x in action_vertices(1) + action_vertices(2)}
-    calls = [lambda: enumerate_contractions(v["qd2q2"], v["q4"]),
+    # enumerate_contractions pauses the collector on this premise
+    calls = [lambda: enumerate_contractions(v["q6"]),
+             lambda: enumerate_contractions(v["qd2q2"], v["q4"]),
+             lambda: enumerate_contractions(v["qd2q4"], v["q4"]),
              lambda: enumerate_contractions(v["q6"], v["qd2q4"]),
              lambda: diagram_classes(2),
              lambda: order_check(2)]
@@ -215,6 +218,55 @@ def test_results_need_no_cycle_collector():
     finally:
         if was_enabled:
             gc.enable()
+
+
+def _collector_passes_during(call, enabled=True):
+    """Generations of the collector passes that start while `call` runs."""
+    started = []
+
+    def hook(phase, info):
+        if phase == "start":
+            started.append(info["generation"])
+
+    was_enabled = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    gc.callbacks.append(hook)
+    try:
+        call()
+        assert gc.isenabled() is enabled
+    finally:
+        gc.callbacks.remove(hook)
+        (gc.enable if was_enabled else gc.disable)()
+    return started
+
+
+def test_no_collector_pass_starts_during_a_build():
+    # with the collector on, a 12-leg call set off ~25 passes, a 10-leg call ~1
+    v = {x.label: x for x in action_vertices(1) + action_vertices(2)}
+    for v1, v2 in [(v["q6"], v["qd2q4"]), (v["qd2q4"], v["q4"])]:
+        assert _collector_passes_during(lambda: enumerate_contractions(v1, v2)) == []
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_collector_state_is_restored(enabled, monkeypatch):
+    v = {x.label: x for x in action_vertices(1) + action_vertices(2)}
+    _collector_passes_during(lambda: enumerate_contractions(v["q6"], v["q4"]), enabled)
+    _collector_passes_during(lambda: enumerate_contractions(v["jq2"]), enabled)
+
+    def odd_legs():
+        with pytest.raises(ValueError, match="odd leg total"):
+            enumerate_contractions(v["jq2"]._replace(legs=(Q,)))
+
+    def failing_build():
+        with pytest.raises(RuntimeError, match="equal-time"):
+            enumerate_contractions(v["qd2q2"], v["q4"])
+
+    def broken_equal_time(kinds):
+        raise RuntimeError("equal-time factor failed")
+
+    _collector_passes_during(odd_legs, enabled)
+    monkeypatch.setattr(wick, "_equal_time", broken_equal_time)
+    _collector_passes_during(failing_build, enabled)
 
 
 def test_no_pairing_outlives_its_call():
