@@ -11,20 +11,34 @@ rationals in four commuting symbols:
 Every closed-form value the engine produces lives in this ring.  No floats
 enter; substitution is the only way to leave it.
 
+Each coefficient is stored as a reduced int pair (numerator, denominator):
+the denominator is positive, the two are coprime and the numerator is never
+0.  `_q` reads an int or Fraction into a pair, `_qmul` multiplies two pairs
+with the cross-gcd of `Fraction`'s own product, so a big coefficient never
+pays a gcd over the full product, and `_qadd` adds two pairs; all three keep
+pairs reduced.  The arithmetic is exact, as `Fraction`'s is, without a
+Fraction object per operation.  `Fraction` stays the public coefficient
+type: the constructors take ints and Fractions, `items`, `coefficient_of`
+and `as_fraction` return Fractions, `substitute` works on Fractions, and a
+constant hashes like the equal Fraction.  `render_terms` formats straight
+from the pairs.
+
 The public constructor validates its input.  Ring operations work on
 canonical operands, so they build their results without re-validating
-them: they only drop the coefficients that cancelled.  Most operands the
-reducer meets are zero or a single term, and those take direct paths: a
-zero summand returns the other summand, a zero factor returns ZERO, two
-single terms multiply to their one product term, and a single term's
-power raises its coefficient and scales its exponents.  A ValuePoly is
-immutable, so returning an operand itself is safe.
+them: they only drop the coefficients that cancelled.  An int or Fraction
+operand of `+` or `*` is read as a pair, not wrapped in a ValuePoly.  Most
+operands the reducer meets are zero or a single term, and those take
+direct paths: a zero summand returns the other summand, a zero factor
+returns ZERO, two single terms multiply to their one product term, and a
+single term's power raises its coefficient and scales its exponents.  A
+ValuePoly is immutable, so returning an operand itself is safe.
 """
 
 from __future__ import annotations
 
 import sys
 from fractions import Fraction
+from math import gcd
 from typing import Iterable, Iterator, Mapping, Union
 
 # exponent vector (k_w, k_d0, k_a, k_g)
@@ -32,16 +46,52 @@ Exponents = tuple[int, int, int, int]
 
 RationalLike = Union[int, Fraction]
 
+# a reduced rational (numerator, denominator), denominator > 0
+Pair = tuple[int, int]
+
 SYMBOL_NAMES = ("w", "d0", "a", "g")
 _SYMBOL_INDEX = {name: i for i, name in enumerate(SYMBOL_NAMES)}
+_CONSTANT = (0, 0, 0, 0)
 
 
-def _as_fraction(value: RationalLike) -> Fraction:
-    if isinstance(value, Fraction):
-        return value
+def _q(value: RationalLike) -> Pair:
+    """The reduced pair of an int or Fraction; bool and float raise TypeError."""
+    # ints first: an isinstance check against Fraction, an ABC, is slow for an int
     if isinstance(value, int) and not isinstance(value, bool):
-        return Fraction(value)
+        return int(value), 1
+    if isinstance(value, Fraction):
+        return value.numerator, value.denominator
     raise TypeError(f"expected an exact rational, got {type(value).__name__}")
+
+
+def _qmul(x: Pair, y: Pair) -> Pair:
+    """x * y, cross-cancelled before the product as in Fraction._mul."""
+    na, da = x
+    nb, db = y
+    g1 = gcd(na, db)
+    if g1 > 1:
+        na //= g1
+        db //= g1
+    g2 = gcd(nb, da)
+    if g2 > 1:
+        nb //= g2
+        da //= g2
+    return na * nb, da * db
+
+
+def _qadd(x: Pair, y: Pair) -> Pair:
+    """x + y, reduced as in Fraction._add; a zero sum has numerator 0."""
+    na, da = x
+    nb, db = y
+    g = gcd(da, db)
+    if g == 1:
+        return na * db + da * nb, da * db
+    s = da // g
+    t = na * (db // g) + nb * s
+    g2 = gcd(t, g)
+    if g2 == 1:
+        return t, s * db
+    return t // g2, s * (db // g2)
 
 
 class ValuePoly:
@@ -50,26 +100,26 @@ class ValuePoly:
     __slots__ = ("_terms",)
 
     def __init__(self, terms: Mapping[Exponents, RationalLike] | None = None):
-        clean: dict[Exponents, Fraction] = {}
+        clean: dict[Exponents, Pair] = {}
         for exps, coef in (terms or {}).items():
             kw, kd0, ka, kg = exps
             if kd0 < 0 or ka < 0 or kg < 0:
                 raise ValueError(f"negative exponent for d0/a/g in {exps}")
-            frac = _as_fraction(coef)
-            if frac:
-                clean[(kw, kd0, ka, kg)] = frac
+            pair = _q(coef)
+            if pair[0]:
+                clean[(kw, kd0, ka, kg)] = pair
         self._terms = clean
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
     def rational(cls, value: RationalLike) -> "ValuePoly":
-        return cls({(0, 0, 0, 0): _as_fraction(value)})
+        return cls({_CONSTANT: value})
 
     @classmethod
     def monomial(cls, coeff: RationalLike, w: int = 0, d0: int = 0,
                  a: int = 0, g: int = 0) -> "ValuePoly":
-        return cls({(w, d0, a, g): _as_fraction(coeff)})
+        return cls({(w, d0, a, g): coeff})
 
     # -- ring structure ----------------------------------------------------
 
@@ -78,18 +128,24 @@ class ValuePoly:
         return not self._terms
 
     def items(self) -> Iterator[tuple[Exponents, Fraction]]:
-        return iter(sorted(self._terms.items()))
+        return iter([(exps, Fraction(*pair)) for exps, pair in sorted(self._terms.items())])
 
     def __add__(self, other: "ValuePoly | RationalLike") -> "ValuePoly":
-        other = _coerce(other)
-        if not other._terms:
-            return self
-        if not self._terms:
-            return other
+        if isinstance(other, ValuePoly):
+            right = other._terms
+            if not right:
+                return self
+            if not self._terms:
+                return other
+        else:
+            pair = _q(other)
+            if not pair[0]:
+                return self
+            right = {_CONSTANT: pair}
         merged = dict(self._terms)
-        for exps, coef in other._terms.items():
+        for exps, coef in right.items():
             if exps in merged:
-                merged[exps] += coef
+                merged[exps] = _qadd(merged[exps], coef)
             else:
                 merged[exps] = coef
         return _canonical(merged)
@@ -97,7 +153,7 @@ class ValuePoly:
     __radd__ = __add__
 
     def __neg__(self) -> "ValuePoly":
-        return _canonical({e: -c for e, c in self._terms.items()})
+        return _wrap({e: (-n, d) for e, (n, d) in self._terms.items()})
 
     def __sub__(self, other: "ValuePoly | RationalLike") -> "ValuePoly":
         return self + (-_coerce(other))
@@ -106,24 +162,29 @@ class ValuePoly:
         return _coerce(other) + (-self)
 
     def __mul__(self, other: "ValuePoly | RationalLike") -> "ValuePoly":
-        left, right = self._terms, _coerce(other)._terms
+        left = self._terms
+        if not isinstance(other, ValuePoly):
+            pair = _q(other)
+            if not pair[0] or not left:
+                return ZERO
+            return _wrap({e: _qmul(c, pair) for e, c in left.items()})
+        right = other._terms
         if not left or not right:
             return ZERO
         if len(left) == 1 and len(right) == 1:
             # nonzero times nonzero: the one product term needs no cancelling
             ((e1, c1),) = left.items()
             ((e2, c2),) = right.items()
-            poly = object.__new__(ValuePoly)
-            poly._terms = {(e1[0] + e2[0], e1[1] + e2[1], e1[2] + e2[2], e1[3] + e2[3]): c1 * c2}
-            return poly
-        out: dict[Exponents, Fraction] = {}
+            return _wrap({(e1[0] + e2[0], e1[1] + e2[1], e1[2] + e2[2], e1[3] + e2[3]):
+                          _qmul(c1, c2)})
+        out: dict[Exponents, Pair] = {}
         for e1, c1 in left.items():
             for e2, c2 in right.items():
                 exps = (e1[0] + e2[0], e1[1] + e2[1], e1[2] + e2[2], e1[3] + e2[3])
                 if exps in out:
-                    out[exps] += c1 * c2
+                    out[exps] = _qadd(out[exps], _qmul(c1, c2))
                 else:
-                    out[exps] = c1 * c2
+                    out[exps] = _qmul(c1, c2)
         return _canonical(out)
 
     __rmul__ = __mul__
@@ -134,11 +195,10 @@ class ValuePoly:
         if not exponent:
             return ONE
         if len(self._terms) == 1:
-            (((kw, kd0, ka, kg), coef),) = self._terms.items()
-            poly = object.__new__(ValuePoly)
-            poly._terms = {(kw * exponent, kd0 * exponent, ka * exponent, kg * exponent):
-                           coef ** exponent}
-            return poly
+            # coprime powers stay coprime, so the pair stays reduced
+            (((kw, kd0, ka, kg), (n, d)),) = self._terms.items()
+            return _wrap({(kw * exponent, kd0 * exponent, ka * exponent, kg * exponent):
+                          (n ** exponent, d ** exponent)})
         # start at the lowest set bit and square only while bits remain
         base = self
         while not exponent & 1:
@@ -166,8 +226,8 @@ class ValuePoly:
         # constants hash like the equal Fraction, so `rational(3)` and 3 share a key
         if not self._terms:
             return hash(0)
-        if len(self._terms) == 1 and (0, 0, 0, 0) in self._terms:
-            return hash(self._terms[(0, 0, 0, 0)])
+        if len(self._terms) == 1 and _CONSTANT in self._terms:
+            return hash(Fraction(*self._terms[_CONSTANT]))
         return hash(frozenset(self._terms.items()))
 
     # -- queries -----------------------------------------------------------
@@ -180,15 +240,15 @@ class ValuePoly:
         return max(exps[idx] for exps in self._terms)
 
     def coefficient_of(self, w: int = 0, d0: int = 0, a: int = 0, g: int = 0) -> Fraction:
-        return self._terms.get((w, d0, a, g), Fraction(0))
+        return Fraction(*self._terms.get((w, d0, a, g), (0, 1)))
 
     def as_fraction(self) -> Fraction:
         """The value of a purely rational poly; error if symbols remain."""
         if not self._terms:
             return Fraction(0)
-        if set(self._terms) != {(0, 0, 0, 0)}:
+        if set(self._terms) != {_CONSTANT}:
             raise ValueError(f"not a pure rational: {self.render()}")
-        return self._terms[(0, 0, 0, 0)]
+        return Fraction(*self._terms[_CONSTANT])
 
     def substitute(self, bindings: Mapping[str, RationalLike]) -> "ValuePoly":
         """Substitute exact rationals for some symbols; w must be positive.
@@ -202,23 +262,24 @@ class ValuePoly:
         for name in bindings:
             if name not in _SYMBOL_INDEX:
                 raise ValueError(f"unknown symbol {name!r}")
-        if "w" in bindings and _as_fraction(bindings["w"]) <= 0:
+        if "w" in bindings and _q(bindings["w"])[0] <= 0:
             raise ValueError("w must be substituted with a positive rational")
-        terms = self._terms
+        terms = {exps: Fraction(*pair) for exps, pair in self._terms.items()}
         for name, value in bindings.items():
             idx = _SYMBOL_INDEX[name]
             merged: dict[Exponents, list[tuple[int, Fraction]]] = {}
             for exps, coef in terms.items():
                 key = exps[:idx] + (0,) + exps[idx + 1:]
                 merged.setdefault(key, []).append((exps[idx], coef))  # type: ignore[arg-type]
-            value = _as_fraction(value)
+            if not isinstance(value, Fraction):
+                value = Fraction(*_q(value))
             terms = {key: _power_sum(powers, value) for key, powers in merged.items()}
         return ValuePoly(terms)
 
     # -- rendering ---------------------------------------------------------
 
-    def render_terms(self) -> list[tuple[Fraction, list[str]]]:
-        """(coefficient, symbol words) per term, by (k_g, k_d0, k_a, k_w) descending."""
+    def render_terms(self) -> list[tuple[Pair, list[str]]]:
+        """(coefficient pair, symbol words) per term, by (k_g, k_d0, k_a, k_w) descending."""
         out = []
         for (kw, kd0, ka, kg), coef in sorted(
                 self._terms.items(), key=lambda it: (-it[0][3], -it[0][1], -it[0][2], -it[0][0])):
@@ -238,16 +299,23 @@ class ValuePoly:
         return f"ValuePoly({self.render()!r})"
 
 
-def render_signed(terms: Iterable[tuple[Fraction, list[str]]]) -> str:
-    """Signed text of (coefficient, words) terms, unit magnitudes elided; "0" if none."""
+def render_signed(terms: Iterable[tuple[Pair, list[str]]]) -> str:
+    """Signed text of (coefficient pair, words) terms, unit magnitudes elided; "0" if none.
+
+    A magnitude prints as a Fraction does: "n" over a denominator of 1, else "n/d".
+    """
     parts: list[str] = []
-    for coef, words in terms:
-        mag = abs(coef)
-        text = " ".join(words) if mag == 1 and words else " ".join([_digits(mag), *words])
-        if parts:
-            parts.append(("+ " if coef > 0 else "- ") + text)
+    for (num, den), words in terms:
+        mag = abs(num)
+        if mag == 1 and den == 1 and words:
+            text = " ".join(words)
         else:
-            parts.append(text if coef > 0 else "-" + text)
+            digits = _digits(mag) if den == 1 else f"{_digits(mag)}/{_digits(den)}"
+            text = " ".join([digits, *words])
+        if parts:
+            parts.append(("+ " if num > 0 else "- ") + text)
+        else:
+            parts.append(text if num > 0 else "-" + text)
     return " ".join(parts) if parts else "0"
 
 
@@ -331,17 +399,22 @@ def _max_str_digits() -> int:
     return getattr(sys, "get_int_max_str_digits", lambda: 0)()
 
 
-def _canonical(terms: dict[Exponents, Fraction]) -> ValuePoly:
-    """Wrap terms built from canonical operands, dropping cancelled coefficients."""
+def _wrap(terms: dict[Exponents, Pair]) -> ValuePoly:
+    """Wrap terms built from canonical operands that hold no zero coefficient."""
     poly = object.__new__(ValuePoly)
-    poly._terms = {e: c for e, c in terms.items() if c}
+    poly._terms = terms
     return poly
+
+
+def _canonical(terms: dict[Exponents, Pair]) -> ValuePoly:
+    """Wrap terms built from canonical operands, dropping cancelled coefficients."""
+    return _wrap({e: c for e, c in terms.items() if c[0]})
 
 
 def _coerce(value: "ValuePoly | RationalLike") -> ValuePoly:
     if isinstance(value, ValuePoly):
         return value
-    return _canonical({(0, 0, 0, 0): _as_fraction(value)})
+    return _canonical({_CONSTANT: _q(value)})
 
 
 def wpow(k: int) -> ValuePoly:

@@ -414,13 +414,18 @@ def diagram_classes(order: int) -> list[DiagramClass]:
 
 def order_contribution(classes: Iterable[DiagramClass]
                        ) -> tuple[ValuePoly, IntegrandSum]:
-    """(local scalar part, nonlocal integrand) summed over `classes`; sums are canonical."""
+    """(local scalar part, nonlocal integrand) summed over `classes`; sums are canonical.
+
+    Each class's weight, coefficient * local value, is added to the local part
+    when the class has no cross line; otherwise it becomes, negated for a sign
+    of -1, the coefficient of the class's line monomial.
+    """
     local_total = ZERO
     nonlocal_terms: list[IntegrandMonomial] = []
     for cls in classes:
-        weight, monomial = cls.term()
-        if monomial is None:
+        weight = cls.coefficient * cls.local_value
+        if cls.shape == (0, 0, 0, 0):
             local_total = local_total + weight
         else:
-            nonlocal_terms.append(monomial.scaled(weight))
+            nonlocal_terms.append(IntegrandMonomial(*cls.shape, weight if cls.sign > 0 else -weight))
     return local_total, IntegrandSum(nonlocal_terms)

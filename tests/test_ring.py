@@ -2,6 +2,7 @@
 
 import sys
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -312,3 +313,108 @@ def test_operation_results_are_canonical(x, y, k, e):
                x * y, x * k, k * x, x ** e, (x + y) ** e]
     for r in results:
         _assert_canonical(r)
+
+
+# -- the stored pairs against plain Fraction arithmetic ---------------------
+
+def _reference(x):
+    """x as a plain {exponents: Fraction} dict, read through the public items()."""
+    if isinstance(x, ValuePoly):
+        return dict(x.items())
+    return {(0, 0, 0, 0): Fraction(x)} if x else {}
+
+
+def _ref_add(x, y):
+    out = dict(x)
+    for e, c in y.items():
+        out[e] = out.get(e, Fraction(0)) + c
+    return {e: c for e, c in out.items() if c}
+
+
+def _ref_mul(x, y):
+    out = {}
+    for e1, c1 in x.items():
+        for e2, c2 in y.items():
+            e = tuple(i + j for i, j in zip(e1, e2))
+            out[e] = out.get(e, Fraction(0)) + c1 * c2
+    return {e: c for e, c in out.items() if c}
+
+
+def _ref_neg(x):
+    return {e: -c for e, c in x.items()}
+
+
+def _assert_pairs_reduced(p):
+    for coef in p._terms.values():
+        num, den = coef
+        assert type(num) is int and type(den) is int
+        assert den > 0 and num != 0 and gcd(num, den) == 1
+
+
+scalars = st.one_of(st.integers(min_value=-40, max_value=40),
+                    rationals(max_num=40, max_den=15),
+                    st.sampled_from([2 ** 70 + 1, -(3 ** 50), Fraction(2 ** 65, 3 ** 40)]))
+
+
+@given(ring_operands(), ring_operands(), scalars, st.integers(min_value=0, max_value=4))
+@settings(max_examples=300, deadline=None)
+def test_ring_matches_plain_fraction_arithmetic(x, y, k, e):
+    rx, ry, rk = _reference(x), _reference(y), _reference(k)
+    cases = [
+        (x + y, _ref_add(rx, ry)), (x + k, _ref_add(rx, rk)), (k + x, _ref_add(rk, rx)),
+        (x - y, _ref_add(rx, _ref_neg(ry))), (x - k, _ref_add(rx, _ref_neg(rk))),
+        (k - x, _ref_add(rk, _ref_neg(rx))), (-x, _ref_neg(rx)),
+        (x * y, _ref_mul(rx, ry)), (x * k, _ref_mul(rx, rk)), (k * x, _ref_mul(rk, rx)),
+    ]
+    power = {(0, 0, 0, 0): Fraction(1)}
+    for _ in range(e):
+        power = _ref_mul(power, rx)
+    cases.append((x ** e, power))
+    for got, want in cases:
+        assert dict(got.items()) == want
+        _assert_pairs_reduced(got)
+        _assert_canonical(got)
+
+
+def test_big_coefficients_multiply_and_cancel_exactly():
+    big = ValuePoly.monomial(Fraction(2 ** 200 + 1, 3 ** 120), w=1) + ValuePoly.rational(7)
+    inverse = ValuePoly.monomial(Fraction(3 ** 120, 2 ** 200 + 1), w=-1)
+    product = big * inverse
+    assert dict(product.items()) == {(0, 0, 0, 0): Fraction(1),
+                                     (-1, 0, 0, 0): Fraction(7 * 3 ** 120, 2 ** 200 + 1)}
+    _assert_pairs_reduced(product)
+    assert big - big == ZERO and (big + -big).is_zero
+
+
+@pytest.mark.parametrize("q", [0, 1, -1, 3, -3, 2 ** 70, -(2 ** 70), half, -half,
+                               Fraction(-7, 3), Fraction(2 ** 65 + 1, 3 ** 41)])
+def test_constants_hash_like_ints_and_fractions(q):
+    assert hash(ValuePoly.rational(q)) == hash(q) == hash(Fraction(q))
+    assert ValuePoly.rational(q) == q
+    assert {ValuePoly.rational(q): "x"}[q] == "x"
+
+
+def test_equal_constants_share_one_set_element():
+    assert len({ValuePoly.rational(3), 3, Fraction(3)}) == 1
+    assert len({ValuePoly.rational(-half), -half, Fraction(-2, 4)}) == 1
+
+
+def test_direct_scalar_operands_refuse_bools_and_floats():
+    x = W + half
+    for op in (lambda: x * True, lambda: True * x, lambda: x * 0.5, lambda: 0.5 * x,
+               lambda: x + 1.0, lambda: 1.0 + x, lambda: ZERO * 0.5, lambda: ZERO + 1.0):
+        with pytest.raises(TypeError):
+            op()
+    assert x * 0 is ZERO
+    assert 0 * x is ZERO
+    assert x + 0 is x and x + Fraction(0) is x
+    assert x * 1 == x and x * 3 == x + x + x
+
+
+def test_items_and_queries_return_fractions():
+    p = ValuePoly.monomial(3, w=1) + ValuePoly.rational(Fraction(-1, 2))
+    assert [type(c) for _, c in p.items()] == [Fraction, Fraction]
+    assert type(p.coefficient_of(w=1)) is Fraction
+    assert type(p.coefficient_of(w=5)) is Fraction
+    assert type(ValuePoly.rational(4).as_fraction()) is Fraction
+    assert ValuePoly.rational(4).as_fraction() == 4

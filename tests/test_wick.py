@@ -12,7 +12,7 @@ from singint import (A, D0, G, ONE, W, ZERO, D_AT_ZERO, DDDOT_AT_ZERO,
                      DDOT_AT_ZERO, DiagramClass, IntegrandSum, ValuePoly, Vertex,
                      action_vertices, diagram_classes, enumerate_contractions, mono,
                      order_check, order_contribution, perfect_matchings, reduce)
-from singint import wick
+from singint import integrand, wick
 from singint.wick import Q, QDOT, _class_counts, _splits
 
 # equal-time value of one same-vertex pair; a qdot qdot pair is -ddD(0)
@@ -502,3 +502,119 @@ def test_bubble_families_reduce_to_minus_d0_prop_squared():
 @settings(max_examples=50, deadline=None)
 def test_matching_count_property_small(k):
     assert sum(1 for _ in perfect_matchings(tuple(range(2 * k)))) == double_factorial_odd(k)
+
+
+def _fold_through_term(classes):
+    """`order_contribution` as it was once built: from each class's `term()`."""
+    local = ZERO
+    lines = []
+    for c in classes:
+        weight, monomial = c.term()
+        if monomial is None:
+            local = local + weight
+        else:
+            lines.append(monomial.scaled(weight))
+    return local, IntegrandSum(lines)
+
+
+# with dD(0) = 0 every class of sign -1 weighs 0; a one-sided dD(0) gives them weight
+@pytest.mark.parametrize("ddot_at_zero", [DDOT_AT_ZERO, ValuePoly.rational(Fraction(-1, 2))],
+                         ids=["shipped", "one_sided"])
+@pytest.mark.parametrize("order, families", [
+    (1, None), (2, None),
+    # the family subsets `diagram_identities` sums
+    (2, ("jacobian_bubble",)), (2, ("jacobian_bubble", "bubble")),
+    (2, ("local",)), (2, ("watermelon",)),
+])
+def test_direct_fold_equals_the_fold_through_term(monkeypatch, order, families, ddot_at_zero):
+    monkeypatch.setattr(integrand, "DDOT_AT_ZERO", ddot_at_zero)
+    classes = [c for c in diagram_classes(order) if families is None or c.family in families]
+    local, lines = order_contribution(classes)
+    want_local, want_lines = _fold_through_term(classes)
+    assert local == want_local
+    assert lines == want_lines
+
+
+# -- the pinned-derivative sign against its derivation ----------------------
+#
+# Every cross line is D(t - s): the leg on slot 0 sits at the free time t,
+# the leg on slot 1 at the pinned time s.  A dot on a leg differentiates the
+# line by that leg's time, and by the chain rule d/dx f(t - s) is
+# f'(t - s) times d(t - s)/dx: +1 for t, -1 for s.  So d/ds D(t - s) = -dD
+# and d/dt d/ds D(t - s) = -ddD.  The enumerator below derives each line so,
+# without reading `wick.PINNED_DERIVATIVE_SIGN`.  It checks that constant, a
+# convention, against its derivation; it is no physics check, and the
+# vacuum energy, even under t -> -t, cannot tell the two signs apart.
+
+_INNER_DERIVATIVE = {0: 1, 1: -1}  # d(t - s)/dt, d(t - s)/ds
+
+
+def _chain_rule_lines(matching):
+    """(shape, sign) of the product of a matching's cross lines."""
+    powers = [0, 0, 0]  # D, dD, ddD
+    sign = 1
+    for leg_a, leg_b in matching:
+        if leg_a[0] == leg_b[0]:
+            continue
+        order = 0
+        for slot, _, kind in (leg_a, leg_b):
+            if kind == QDOT:
+                sign *= _INNER_DERIVATIVE[slot]
+                order += 1
+        powers[order] += 1
+    return (*powers, 0), sign
+
+
+def _chain_rule_census(v1, v2):
+    """(integrand, sign) of every matching of a pinned pair, in `perfect_matchings` order."""
+    legs = [(0, i, kind) for i, kind in enumerate(v1.legs)]
+    legs += [(1, i, kind) for i, kind in enumerate(v2.legs)]
+    out = []
+    for matching in perfect_matchings(legs):
+        shape, sign = _chain_rule_lines(matching)
+        line = IntegrandSum([mono(*shape, coeff=sign)]) if any(shape) else IntegrandSum()
+        out.append((matching, line, sign))
+    return out
+
+
+def _odd_pinned_dots(matching):
+    """Whether the cross lines carry an odd number of dotted legs on the pinned slot."""
+    return sum(slot == 1 and kind == QDOT
+               for pair in matching if pair[0][0] != pair[1][0]
+               for slot, _, kind in pair) % 2 == 1
+
+
+# at most 10 legs: the test-side enumerator takes ~0.3 s for a 12-leg pair
+_SIGN_PAIRS = [("qd2q4", "q4", 945), ("q4", "qd2q4", 945), ("q4", "q4", 105),
+               ("qd2q2", "qd2q2", 105)]
+
+
+def _vertex(label):
+    return {v.label: v for v in action_vertices(1) + action_vertices(2)}[label]
+
+
+@pytest.mark.parametrize("first, second, matchings", _SIGN_PAIRS)
+def test_pinned_derivative_sign_follows_the_chain_rule(first, second, matchings):
+    v1, v2 = _vertex(first), _vertex(second)
+    derived = _chain_rule_census(v1, v2)
+    cons = enumerate_contractions(v1, v2)
+    assert len(cons) == len(derived) == matchings
+    for c, (matching, line, sign) in zip(cons, derived):
+        assert c.pairing == matching
+        assert c.integrand == line
+        assert c.orientation_sign == sign
+
+
+@pytest.mark.parametrize("first, second, matchings", _SIGN_PAIRS)
+def test_the_unsigned_convention_departs_from_the_chain_rule(monkeypatch, first, second,
+                                                             matchings):
+    # the lines of D(t + s): a dotted pinned leg no longer flips its line
+    monkeypatch.setattr(wick, "PINNED_DERIVATIVE_SIGN", 1)
+    v1, v2 = _vertex(first), _vertex(second)
+    derived = _chain_rule_census(v1, v2)
+    cons = enumerate_contractions(v1, v2)
+    departed = [(c.integrand, c.orientation_sign) != (line, sign)
+                for c, (_, line, sign) in zip(cons, derived)]
+    # they part exactly where an odd number of dotted pinned legs sits on cross lines
+    assert departed == [_odd_pinned_dots(matching) for matching, _, _ in derived]
+    assert any(departed) == ("qd2" in second)
