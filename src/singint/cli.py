@@ -13,11 +13,11 @@ import re
 import sys
 from fractions import Fraction
 
-from .integrand import IntegrandSum, ParseError, parse, render_sum
+from .integrand import ParseError, integrand_sum, mono, parse, render_sum
 from .reducer import ReductionTrace, reduce
 from .ring import _max_str_digits
 from .verify import diagram_identities, identity_suite, order_check, symbol_bindings
-from .wick import diagram_classes
+from .wick import diagram_classes, order_contribution
 
 
 def _state_text(state) -> str:
@@ -92,28 +92,25 @@ def _cmd_diagrams(args) -> int:
     bindings = symbol_bindings(args.a, args.veltman)
     rows = []
     for cls in diagram_classes(args.order):
-        weight, monomial = cls.term()
-        weight = weight.substitute(bindings)
+        local, lines = order_contribution([cls])
         rows.append({
             "family": cls.family,
             "vertices": " x ".join(cls.vertices),
             "self_pairs": "; ".join(f"{vertex}:{kind}" for vertex, kind in cls.self_pairs) or "-",
-            "integrand": render_sum(IntegrandSum([monomial])) if monomial else "-",
+            "integrand": (render_sum(integrand_sum(mono(*cls.shape, coeff=cls.sign)))
+                          if cls.shape != (0, 0, 0, 0) else "-"),
             "matchings": cls.multiplicity,
             "coefficient": cls.coefficient.substitute(bindings).render(),
             "local_value": cls.local_value.substitute(bindings).render(),
-            "contribution": (render_sum(IntegrandSum([monomial.scaled(weight)]))
-                             if monomial else weight.render()),
+            "contribution": (render_sum(lines.substitute(bindings)) if cls.shape != (0, 0, 0, 0)
+                             else local.substitute(bindings).render()),
         })
     if args.json:
         print(json.dumps(rows, indent=2))
         return 0
-    header = ("family", "vertices", "self_pairs", "integrand", "matchings",
-              "coefficient", "local_value", "contribution")
-    widths = [max(len(str(row[h])) for row in rows + [dict(zip(header, header))])
-              for h in header]
-    print("  ".join(h.ljust(w) for h, w in zip(header, widths)))
-    for row in rows:
+    header = list(rows[0])
+    widths = [max(len(h), *(len(str(row[h])) for row in rows)) for h in header]
+    for row in [dict(zip(header, header))] + rows:
         print("  ".join(str(row[h]).ljust(w) for h, w in zip(header, widths)))
     return 0
 

@@ -64,7 +64,9 @@ class IntegrandMonomial:
     __slots__ = ("m", "n", "p", "q", "coeff")
 
     def __init__(self, m: int, n: int, p: int, q: int, coeff: ValuePoly):
-        if min(m, n, p, q) < 0:
+        if not type(m) is type(n) is type(p) is type(q) is int:
+            raise TypeError(f"factor powers must be ints, got {(m, n, p, q)}")
+        if m < 0 or n < 0 or p < 0 or q < 0:
             raise ValueError("factor powers must be nonnegative")
         _setattr(self, "m", m)
         _setattr(self, "n", n)
@@ -156,12 +158,16 @@ class IntegrandSum:
         return not self.terms
 
     def __add__(self, other: "IntegrandSum") -> "IntegrandSum":
+        if not isinstance(other, IntegrandSum):
+            return NotImplemented
         return IntegrandSum(self.terms + other.terms)
 
     def __neg__(self) -> "IntegrandSum":
         return self.scale(-1)
 
     def __sub__(self, other: "IntegrandSum") -> "IntegrandSum":
+        if not isinstance(other, IntegrandSum):
+            return NotImplemented
         return self + (-other)
 
     def scale(self, factor: ValuePoly | RationalLike) -> "IntegrandSum":

@@ -103,6 +103,8 @@ class ValuePoly:
         clean: dict[Exponents, Pair] = {}
         for exps, coef in (terms or {}).items():
             kw, kd0, ka, kg = exps
+            if not type(kw) is type(kd0) is type(ka) is type(kg) is int:
+                raise TypeError(f"exponents must be ints, got {exps}")
             if kd0 < 0 or ka < 0 or kg < 0:
                 raise ValueError(f"negative exponent for d0/a/g in {exps}")
             pair = _q(coef)
@@ -190,6 +192,8 @@ class ValuePoly:
     __rmul__ = __mul__
 
     def __pow__(self, exponent: int) -> "ValuePoly":
+        if isinstance(exponent, bool):
+            raise TypeError("a ValuePoly power must be an int, not a bool")
         if not isinstance(exponent, int) or exponent < 0:
             raise ValueError("ValuePoly powers must be nonnegative integers")
         if not exponent:

@@ -14,9 +14,9 @@ their exact couplings.  The free-energy shift per unit time is
 
 and `diagram_classes(order)` classifies exactly that, with the second vertex
 of every two-vertex contraction pinned at time 0 (the shared time volume is
-divided out).  `order_contribution(classes)` folds the classes it is given,
-a whole order or one family of it, into a local part and a nonlocal
-integrand; it never classifies on its own.  Cross-pair line values:
+divided out).  Only `order_contribution(classes)` folds classes, a whole
+order or one family, into weights: a local part and a nonlocal integrand;
+it never classifies on its own.  Cross-pair line values:
 
     q(t)  q(0)   ->  D
     q.(t) q(0)   ->  +dD      (derivative on the unpinned vertex)
@@ -36,9 +36,9 @@ the
 bijections of the a dotted and b plain legs left free at each vertex.
 
 `enumerate_contractions` is the reference those counts are tested against.
-It produces every raw perfect matching of the vertex legs, nothing skipped:
-matchings whose equal-time dD(0) factor kills them carry a zero
-coefficient, and disconnected matchings are flagged rather than suppressed.
+It produces every raw perfect matching of the vertex legs, nothing skipped,
+with its cross lines as a shape and a sign: a matching that dD(0) = 0 kills
+has a zero local factor, and a disconnected one is flagged, not suppressed.
 
 Same-vertex pairs fold to D(0), dD(0) = 0, or -ddD(0) ring values.  Each
 pair of legs adds one to a field of a packed integer counter: its self-pair
@@ -69,7 +69,7 @@ from fractions import Fraction
 from math import factorial
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
-from .integrand import IntegrandMonomial, IntegrandSum, local_value, mono
+from .integrand import IntegrandMonomial, IntegrandSum, local_value
 from .ring import A, D0, G, ONE, W, ZERO, ValuePoly
 
 Q = "q"
@@ -130,7 +130,7 @@ def perfect_matchings(items: Sequence[Leg]) -> Iterator[tuple[tuple[Leg, Leg], .
 class Contraction(NamedTuple):
     pairing: tuple[tuple[Leg, Leg], ...]
     connected: bool
-    integrand: IntegrandSum          # empty when the contraction is fully local
+    shape: tuple[int, int, int, int]  # cross lines (m, n, p, 0); all 0 if none
     local_factor: ValuePoly          # equal-time pair values, couplings excluded
     self_pairs: tuple[tuple[str, str], ...]  # (vertex label, pair kind), sorted
     orientation_sign: int
@@ -265,16 +265,14 @@ def _contractions(v1: Vertex, v2: Vertex | None) -> list[Contraction]:
                        for _ in range(count[_KINDS * slot + k]))
         m, n, p = count[_LINE_FIELD:_FLIP_FIELD]
         sign = -1 if count[_FLIP_FIELD] & 1 else 1
-        cross = m + n + p
-        integrand = IntegrandSum([mono(m, n, p, 0, Fraction(sign))]) if cross else IntegrandSum()
-        return (v2 is None or cross > 0, integrand, local, tuple(selfs), sign)
+        return (v2 is None or m + n + p > 0, (m, n, p, 0), local, tuple(selfs), sign)
 
     def leaf(pairing: tuple, key: int) -> None:
         got = fields.get(key)
         if got is None:
             got = fields[key] = derive(key)
-        connected, integrand, local, selfs, sign = got
-        out.append(new(Contraction, (pairing, connected, integrand, local, selfs, sign)))
+        connected, shape, local, selfs, sign = got
+        out.append(new(Contraction, (pairing, connected, shape, local, selfs, sign)))
 
     if legs:
         # the 6-leg tail memo lives for this call only; below 10 legs it never hits
@@ -289,8 +287,8 @@ class DiagramClass(NamedTuple):
     """Contractions sharing vertices, self-pair pattern, line shape and sign.
 
     coefficient = cumulant prefactor * couplings * number of matchings; the
-    equal-time value and the signed line monomial are kept separate so the
-    generated tables can be read off directly.
+    equal-time value, line shape and sign are kept apart for the generated
+    tables, and only `order_contribution` folds them into a weight and line.
     """
 
     order: int
@@ -306,13 +304,6 @@ class DiagramClass(NamedTuple):
     @property
     def vanishes(self) -> bool:
         return self.local_value.is_zero or self.coefficient.is_zero
-
-    def term(self) -> tuple[ValuePoly, IntegrandMonomial | None]:
-        """(local scalar part, signed integrand monomial or None if local)."""
-        weight = self.coefficient * self.local_value
-        if self.shape == (0, 0, 0, 0):
-            return weight, None
-        return weight, mono(*self.shape, coeff=Fraction(self.sign))
 
 
 def _splits(legs: tuple[str, ...]) -> list[tuple[tuple[int, int, int], int, int, int]]:

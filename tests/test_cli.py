@@ -12,7 +12,8 @@ import pytest
 from hypothesis import given, settings
 
 from conftest import integrand_sums
-from singint import ValuePoly, ZERO, integrand_sum, mono
+from singint import (IntegrandSum, ValuePoly, ZERO, diagram_classes, integrand_sum, mono,
+                     order_contribution)
 from singint.cli import ParseError, _report_checks, main, parse, render_sum
 from singint.verify import CheckResult
 
@@ -354,6 +355,27 @@ def test_diagrams_order_2_output_is_pinned(capsys, argv, golden):
     code, out, err = run(capsys, "diagrams", *argv)
     assert code == 0 and err == ""
     assert out == (GOLDEN / golden).read_text()
+
+
+@pytest.mark.parametrize("order", [1, 2])
+@pytest.mark.parametrize("flags, bindings", [
+    ([], {}),
+    (["--veltman"], {"d0": 0}),
+    (["--a", "1/2", "--veltman"], {"a": Fraction(1, 2), "d0": 0}),
+    (["--a=-7/5"], {"a": Fraction(-7, 5)}),
+], ids=["plain", "veltman", "a_half_veltman", "a_minus_7_5"])
+def test_diagrams_rows_sum_to_what_order_check_reduces(capsys, order, flags, bindings):
+    code, out, _ = run(capsys, "diagrams", "--order", str(order), *flags, "--json")
+    assert code == 0
+    rows = json.loads(out)
+    classes = diagram_classes(order)
+    # the whole order, None, and each family: the order-2 nonlocal total holds no a or d0
+    for family in [None, *sorted({row["family"] for row in rows})]:
+        table = IntegrandSum([t for row in rows if family in (None, row["family"])
+                              for t in parse(row["contribution"])])
+        local, lines = order_contribution(c for c in classes if family in (None, c.family))
+        # a local row parses to a bare-measure term, so the local part enters as one
+        assert table == IntegrandSum([mono(coeff=local), *lines]).substitute(bindings), family
 
 
 def test_bad_usage_exits_2():

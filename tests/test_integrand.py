@@ -34,6 +34,17 @@ def test_negative_powers_rejected():
         IntegrandMonomial(0, 0, 0, -2, coeff=ValuePoly.rational(1))
 
 
+def test_non_int_powers_rejected():
+    # refused at construction, not deep in `base_integral` with a bare TypeError
+    one = ValuePoly.rational(1)
+    for bad in (1.5, 2.0, Fraction(2), True):
+        for shape in ((bad, 0, 0, 0), (0, bad, 0, 0), (0, 0, bad, 0), (0, 0, 0, bad)):
+            with pytest.raises(TypeError):
+                IntegrandMonomial(*shape, one)
+        with pytest.raises(TypeError):
+            mono(0, bad)
+
+
 def test_shape_and_bare_measure():
     t = mono(1, 2, 0, 1, coeff=Fraction(3, 2))
     assert t.shape == (1, 2, 0, 1)
@@ -111,6 +122,14 @@ def test_sum_arithmetic():
     assert (x - x).normalize().is_zero
     assert x.scale(2).terms[0].coeff == ValuePoly.rational(2)
     assert (-x).terms[0].coeff == ValuePoly.rational(-1)
+
+
+def test_sum_arithmetic_with_a_non_sum_raises_type_error():
+    x = integrand_sum(mono(1, 0, 0, 0))
+    for op in (lambda: IntegrandSum() + 1, lambda: x - 1, lambda: 1 + x, lambda: 1 - x,
+               lambda: x + mono(1), lambda: x - mono(1), lambda: x + ValuePoly.rational(1)):
+        with pytest.raises(TypeError):
+            op()
 
 
 def test_sum_substitute_touches_every_coefficient():

@@ -29,6 +29,21 @@ def test_negative_exponent_rejected_for_polynomial_symbols():
             ValuePoly({bad: Fraction(1)})
 
 
+def test_exponents_and_powers_must_be_ints():
+    # a float exponent would put w^0.5 in the ring; a bool would pass as 0 or 1
+    for bad in (0.5, 1.0, Fraction(1), True, False):
+        with pytest.raises(TypeError):
+            ValuePoly.monomial(1, w=bad)
+        with pytest.raises(TypeError):
+            ValuePoly.monomial(1, g=bad)
+        with pytest.raises(TypeError):
+            ValuePoly({(0, bad, 0, 0): 1})
+    for base in (W, W + D0, ZERO):
+        for bad in (True, False):
+            with pytest.raises(TypeError):
+                base ** bad
+
+
 def test_w_may_carry_any_integer_exponent():
     assert wpow(-5) * wpow(5) == ONE
     assert ValuePoly.monomial(1, w=-3).degree_in("w") == -3

@@ -76,7 +76,7 @@ def test_single_vertex_contractions():
     v = {x.label: x for x in action_vertices(1)}
     cons = enumerate_contractions(v["qd2q2"])
     assert len(cons) == 3
-    assert all(c.connected and c.integrand.is_zero for c in cons)
+    assert all(c.connected and c.shape == (0, 0, 0, 0) for c in cons)
     locals_seen = sorted(c.local_factor.render() for c in cons)
     assert (-DDDOT_AT_ZERO * D_AT_ZERO).render() in locals_seen
     assert locals_seen.count("0") == 2  # the two dD(0)-carrying matchings
@@ -90,26 +90,24 @@ def test_pair_contraction_counts():
     assert len(disconnected) == 9
     watermelons = [c for c in cons if c.connected and not c.self_pairs]
     assert len(watermelons) == 24
-    assert all(c.integrand.is_zero for c in disconnected)
+    assert all(c.shape == (0, 0, 0, 0) for c in disconnected)
 
 
 def test_cross_line_orientation_signs():
     v = {x.label: x for x in action_vertices(1)}
     cons = enumerate_contractions(v["qd2q2"], v["qd2q2"])
     for c in cons:
-        if c.integrand.is_zero:
+        if c.shape == (0, 0, 0, 0):
             continue
-        (term,) = c.integrand.terms
-        assert term.coeff == ValuePoly.rational(c.orientation_sign)
-        m, n, p, q = term.shape
+        m, n, p, q = c.shape
         assert q == 0
         assert m + n + p == 4 - len(c.self_pairs)
         # a dD^4 watermelon carries two pinned-side flips: net +1
-        if term.shape == (0, 4, 0, 0):
+        if c.shape == (0, 4, 0, 0):
             assert c.orientation_sign == 1
         # the mixed watermelon ddD dD^2 D flips once for the pinned dD and
         # once for the dotted-dotted line: net +1 again
-        if term.shape == (1, 2, 1, 0):
+        if c.shape == (1, 2, 1, 0):
             assert c.orientation_sign == 1
 
 
@@ -119,7 +117,7 @@ def test_contractions_are_immutable_values():
     again = enumerate_contractions(v["qd2q2"], v["q4"])
     assert first == again
     assert [hash(c) for c in first] == [hash(c) for c in again]
-    names = ("pairing", "connected", "integrand", "local_factor", "self_pairs",
+    names = ("pairing", "connected", "shape", "local_factor", "self_pairs",
              "orientation_sign")
     c = first[0]
     assert repr(c) == "Contraction(" + ", ".join(
@@ -137,7 +135,7 @@ def test_odd_leg_total_rejected():
 
 
 def _direct_contraction(v1, v2, matching):
-    """(local factor, line sum, self pairs, sign) recomputed pair by pair."""
+    """(local factor, line shape, self pairs, sign) recomputed pair by pair."""
     labels = (v1.label, v2.label if v2 is not None else v1.label)
     names = {(Q, Q): "qq", (QDOT, Q): "qdot q", (QDOT, QDOT): "qdot qdot"}
     local = ONE
@@ -161,8 +159,7 @@ def _direct_contraction(v1, v2, matching):
             shape[1] += 1
             if pinned_kind == QDOT:
                 sign = -sign
-    line = IntegrandSum([mono(*shape, 0, coeff=sign)]) if any(shape) else IntegrandSum()
-    return local, line, tuple(sorted(selfs)), sign
+    return local, (*shape, 0), tuple(sorted(selfs)), sign
 
 
 def _checked_pairs():
@@ -180,12 +177,12 @@ def test_contractions_match_direct_recomputation():
         legs = len(v1.legs) + (len(v2.legs) if v2 is not None else 0)
         assert len(cons) == double_factorial_odd(legs // 2)
         for c in cons:
-            local, line, selfs, sign = _direct_contraction(v1, v2, c.pairing)
+            local, shape, selfs, sign = _direct_contraction(v1, v2, c.pairing)
             assert c.local_factor == local
-            assert c.integrand.terms == line.terms
+            assert c.shape == shape
             assert c.self_pairs == selfs
             assert c.orientation_sign == sign
-            assert c.connected == (v2 is None or bool(line.terms))
+            assert c.connected == (v2 is None or shape != (0, 0, 0, 0))
 
 
 def test_contractions_come_in_perfect_matchings_order():
@@ -286,8 +283,7 @@ def _enumerated_counts(v1, v2=None):
     counts = {}
     for c in enumerate_contractions(v1, v2):
         if c.connected:
-            shape = c.integrand.terms[0].shape if c.integrand.terms else (0, 0, 0, 0)
-            key = (c.self_pairs, shape, c.orientation_sign)
+            key = (c.self_pairs, c.shape, c.orientation_sign)
             counts[key] = counts.get(key, 0) + 1
     return counts
 
@@ -312,8 +308,7 @@ def _enumerated_classes(order):
                 family = "jacobian_bubble"
             else:
                 family = "bubble" if c.self_pairs else "watermelon"
-            shape = c.integrand.terms[0].shape if c.integrand.terms else (0, 0, 0, 0)
-            entry = groups.setdefault((vertices, c.self_pairs, shape, c.orientation_sign),
+            entry = groups.setdefault((vertices, c.self_pairs, c.shape, c.orientation_sign),
                                       [0, ZERO, c.local_factor, family])
             entry[0] += 1
             entry[1] = entry[1] + weight
@@ -429,19 +424,6 @@ def test_order_2_families_are_a_partition():
             assert c.family == "watermelon"
 
 
-def test_class_term_consistency():
-    for order in (1, 2):
-        for c in diagram_classes(order):
-            local, line = c.term()
-            assert local == c.coefficient * c.local_value
-            if c.shape == (0, 0, 0, 0):
-                assert line is None
-            else:
-                assert line is not None
-                assert line.shape == c.shape
-                assert line.coeff == ValuePoly.rational(c.sign)
-
-
 def test_order_1_contribution_vanishes_locally():
     local, nonlocal_part = order_contribution(diagram_classes(1))
     assert local == ZERO
@@ -505,15 +487,16 @@ def test_matching_count_property_small(k):
 
 
 def _fold_through_term(classes):
-    """`order_contribution` as it was once built: from each class's `term()`."""
+    """`order_contribution` as it was once built: each class's signed line
+    monomial, scaled by its weight, coefficient * local value."""
     local = ZERO
     lines = []
     for c in classes:
-        weight, monomial = c.term()
-        if monomial is None:
+        weight = c.coefficient * c.local_value
+        if c.shape == (0, 0, 0, 0):
             local = local + weight
         else:
-            lines.append(monomial.scaled(weight))
+            lines.append(mono(*c.shape, coeff=c.sign).scaled(weight))
     return local, IntegrandSum(lines)
 
 
@@ -566,15 +549,11 @@ def _chain_rule_lines(matching):
 
 
 def _chain_rule_census(v1, v2):
-    """(integrand, sign) of every matching of a pinned pair, in `perfect_matchings` order."""
+    """(matching, shape, sign) of every matching of a pinned pair, in
+    `perfect_matchings` order."""
     legs = [(0, i, kind) for i, kind in enumerate(v1.legs)]
     legs += [(1, i, kind) for i, kind in enumerate(v2.legs)]
-    out = []
-    for matching in perfect_matchings(legs):
-        shape, sign = _chain_rule_lines(matching)
-        line = IntegrandSum([mono(*shape, coeff=sign)]) if any(shape) else IntegrandSum()
-        out.append((matching, line, sign))
-    return out
+    return [(matching, *_chain_rule_lines(matching)) for matching in perfect_matchings(legs)]
 
 
 def _odd_pinned_dots(matching):
@@ -599,9 +578,9 @@ def test_pinned_derivative_sign_follows_the_chain_rule(first, second, matchings)
     derived = _chain_rule_census(v1, v2)
     cons = enumerate_contractions(v1, v2)
     assert len(cons) == len(derived) == matchings
-    for c, (matching, line, sign) in zip(cons, derived):
+    for c, (matching, shape, sign) in zip(cons, derived):
         assert c.pairing == matching
-        assert c.integrand == line
+        assert c.shape == shape
         assert c.orientation_sign == sign
 
 
@@ -613,8 +592,8 @@ def test_the_unsigned_convention_departs_from_the_chain_rule(monkeypatch, first,
     v1, v2 = _vertex(first), _vertex(second)
     derived = _chain_rule_census(v1, v2)
     cons = enumerate_contractions(v1, v2)
-    departed = [(c.integrand, c.orientation_sign) != (line, sign)
-                for c, (_, line, sign) in zip(cons, derived)]
+    departed = [(c.shape, c.orientation_sign) != (shape, sign)
+                for c, (_, shape, sign) in zip(cons, derived)]
     # they part exactly where an odd number of dotted pinned legs sits on cross lines
     assert departed == [_odd_pinned_dots(matching) for matching, _, _ in derived]
     assert any(departed) == ("qd2" in second)
