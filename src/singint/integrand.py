@@ -68,6 +68,8 @@ class IntegrandMonomial:
             raise TypeError(f"factor powers must be ints, got {(m, n, p, q)}")
         if m < 0 or n < 0 or p < 0 or q < 0:
             raise ValueError("factor powers must be nonnegative")
+        if type(coeff) is not ValuePoly:  # `mono` converts a rational
+            raise TypeError(f"coeff must be a ValuePoly, got {type(coeff).__name__}")
         _setattr(self, "m", m)
         _setattr(self, "n", n)
         _setattr(self, "p", p)

@@ -18,10 +18,10 @@ with the cross-gcd of `Fraction`'s own product, so a big coefficient never
 pays a gcd over the full product, and `_qadd` adds two pairs; all three keep
 pairs reduced.  The arithmetic is exact, as `Fraction`'s is, without a
 Fraction object per operation.  `Fraction` stays the public coefficient
-type: the constructors take ints and Fractions, `items`, `coefficient_of`
-and `as_fraction` return Fractions, `substitute` works on Fractions, and a
-constant hashes like the equal Fraction.  `render_terms` formats straight
-from the pairs.
+type: the constructors and `substitute` take ints and Fractions, `items`,
+`coefficient_of` and `as_fraction` return Fractions, and a constant hashes
+like the equal Fraction.  `substitute` binds on the pairs, and
+`render_terms` formats straight from them.
 
 The public constructor validates its input.  Ring operations work on
 canonical operands, so they build their results without re-validating
@@ -192,9 +192,9 @@ class ValuePoly:
     __rmul__ = __mul__
 
     def __pow__(self, exponent: int) -> "ValuePoly":
-        if isinstance(exponent, bool):
-            raise TypeError("a ValuePoly power must be an int, not a bool")
-        if not isinstance(exponent, int) or exponent < 0:
+        if not isinstance(exponent, int) or isinstance(exponent, bool):
+            raise TypeError(f"a ValuePoly power must be an int, not {type(exponent).__name__}")
+        if exponent < 0:
             raise ValueError("ValuePoly powers must be nonnegative integers")
         if not exponent:
             return ONE
@@ -257,28 +257,29 @@ class ValuePoly:
     def substitute(self, bindings: Mapping[str, RationalLike]) -> "ValuePoly":
         """Substitute exact rationals for some symbols; w must be positive.
 
-        Symbols are bound one at a time, and `_power_sum` adds up the terms
-        each binding merges, so a power sure to pass the int-to-str digit
-        limit raises the printer's error before it is built.  The bound holds
-        after each binding: w^k a^k at w = 2, a = 1/2 raises for a k whose
-        2^k is too long to print, though the whole product is 1.
+        Symbols are bound one at a time, on the stored pairs, and
+        `_power_sum` adds up the terms each binding merges, so a power sure
+        to pass the int-to-str digit limit raises the printer's error before
+        it is built.  The bound holds after each binding: w^k a^k at w = 2,
+        a = 1/2 raises for a k whose 2^k is too long to print, though the
+        whole product is 1.  A term that a binding zeroes is kept, and
+        bounded, until the last binding.
         """
         for name in bindings:
             if name not in _SYMBOL_INDEX:
                 raise ValueError(f"unknown symbol {name!r}")
         if "w" in bindings and _q(bindings["w"])[0] <= 0:
             raise ValueError("w must be substituted with a positive rational")
-        terms = {exps: Fraction(*pair) for exps, pair in self._terms.items()}
+        terms = self._terms
         for name, value in bindings.items():
             idx = _SYMBOL_INDEX[name]
-            merged: dict[Exponents, list[tuple[int, Fraction]]] = {}
+            merged: dict[Exponents, list[tuple[int, Pair]]] = {}
             for exps, coef in terms.items():
                 key = exps[:idx] + (0,) + exps[idx + 1:]
                 merged.setdefault(key, []).append((exps[idx], coef))  # type: ignore[arg-type]
-            if not isinstance(value, Fraction):
-                value = Fraction(*_q(value))
-            terms = {key: _power_sum(powers, value) for key, powers in merged.items()}
-        return ValuePoly(terms)
+            pair = _q(value)
+            terms = {key: _power_sum(powers, pair) for key, powers in merged.items()}
+        return _canonical(terms)
 
     # -- rendering ---------------------------------------------------------
 
@@ -335,7 +336,14 @@ def _digit_limit_error() -> ValueError:
     return ValueError(f"a number in the output has more than {_max_str_digits()} digits")
 
 
-def _power_sum(powers: list[tuple[int, Fraction]], value: Fraction) -> Fraction:
+def _qpow(x: Pair, k: int) -> Pair:
+    """x**k, reduced, as coprime powers stay coprime.  A negative k needs x > 0:
+    only w takes negative powers, and `substitute` binds it to a positive value."""
+    n, d = x
+    return (n ** k, d ** k) if k >= 0 else (d ** -k, n ** -k)
+
+
+def _power_sum(powers: list[tuple[int, Pair]], value: Pair) -> Pair:
     """Exact sum of coef * value**k over (k, coef) pairs with distinct k.
 
     The terms split into runs at gaps of more than 8 * limit powers, and each
@@ -353,48 +361,56 @@ def _power_sum(powers: list[tuple[int, Fraction]], value: Fraction) -> Fraction:
             return coef
         if _max_str_digits() and _passes_digit_limit(coef, k, value):
             raise _digit_limit_error()
-        return coef * value ** k
+        return _qmul(coef, _qpow(value, k))
     limit = _max_str_digits()
-    if not limit or value in (0, 1, -1):
-        return sum((coef * value ** k for k, coef in powers), Fraction(0))
+    if not limit or (value[1] == 1 and -1 <= value[0] <= 1):
+        return _sum_powers(powers, value)  # no power here grows
     powers = sorted(powers)
     runs = [[powers[0]]]
     for k, coef in powers[1:]:
         if k - runs[-1][-1][0] > 8 * limit:
             runs.append([])
         runs[-1].append((k, coef))
-    low, total = 0, Fraction(0)
+    low, total = 0, (0, 1)
     for run in runs:
         start = run[0][0]
-        rest = sum((coef * value ** (k - start) for k, coef in run), Fraction(0))
-        if not rest:
+        rest = _sum_powers([(k - start, coef) for k, coef in run], value)
+        if not rest[0]:
             continue
-        if not total:
+        if not total[0]:
             low, total = start, rest
         elif start - low > 2 * (4 * limit + _height(total) + _height(rest)) + 2:
             raise _digit_limit_error()
         else:
-            total += rest * value ** (start - low)
-    if total and _passes_digit_limit(total, low, value):
+            total = _qadd(total, _qmul(rest, _qpow(value, start - low)))
+    if total[0] and _passes_digit_limit(total, low, value):
         raise _digit_limit_error()
-    return total * value ** low
+    return _qmul(total, _qpow(value, low))
 
 
-def _height(x: Fraction) -> int:
-    return max(abs(x.numerator).bit_length(), x.denominator.bit_length())
+def _sum_powers(powers: Iterable[tuple[int, Pair]], value: Pair) -> Pair:
+    """coef * value**k summed over (k, coef) pairs, with no digit bound."""
+    total = (0, 1)
+    for k, coef in powers:
+        total = _qadd(total, _qmul(coef, _qpow(value, k)))
+    return total
 
 
-def _passes_digit_limit(coef: Fraction, k: int, value: Fraction) -> bool:
+def _height(x: Pair) -> int:
+    return max(abs(x[0]).bit_length(), x[1].bit_length())
+
+
+def _passes_digit_limit(coef: Pair, k: int, value: Pair) -> bool:
     """Whether coef * value**k surely passes the digit limit.
 
     For value = p/q in lowest terms and k > 0, the product keeps at least
     p^k / den(coef) upstairs and q^k / num(coef) downstairs; past 4 * limit
-    bits a number has over `limit` digits.
+    bits a number has over `limit` digits.  A negative k swaps p and q.
     """
+    up, down = abs(value[0]).bit_length(), value[1].bit_length()
     if k < 0:
-        value, k = 1 / value, -k
-    bits = max(k * (abs(value.numerator).bit_length() - 1) - coef.denominator.bit_length(),
-               k * (value.denominator.bit_length() - 1) - abs(coef.numerator).bit_length())
+        up, down, k = down, up, -k
+    bits = max(k * (up - 1) - coef[1].bit_length(), k * (down - 1) - abs(coef[0]).bit_length())
     return bits > 4 * _max_str_digits()
 
 

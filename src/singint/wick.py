@@ -6,8 +6,9 @@ The anharmonic content comes from the coordinate change
 
 applied to the Gaussian action with frequency w.  Expanding the transformed
 action and the exp(-delta(0) * integral log f'(q)) measure factor to second
-order in g yields six local vertices; `action_vertices` returns them with
-their exact couplings.  The free-energy shift per unit time is
+order in g yields six local vertices.  They are built once, at import, and
+`action_vertices` returns a new list of them, with their exact couplings,
+on each call.  The free-energy shift per unit time is
 
     first cumulant of the order-g^n vertices
     - (1/2!) * connected second cumulant of the order-g vertices   (n = 2)
@@ -34,6 +35,12 @@ the
     a1! b1! a2! b2! / (X! Y! Z! U!)
 
 bijections of the a dotted and b plain legs left free at each vertex.
+Each call builds every vertex's splits once, each split with its kind
+counts and its labelled self pairs, and `_class_counts` keys its counts by
+both, so the equal-time factor is looked up by kind counts that nothing
+counts again.  Factorials come from a table.  The call reads
+`action_vertices`, `PINNED_DERIVATIVE_SIGN`, `CUMULANT_PREFACTOR` and
+`_equal_time` when it runs, so a patched module constant takes effect.
 
 `enumerate_contractions` is the reference those counts are tested against.
 It produces every raw perfect matching of the vertex legs, nothing skipped,
@@ -91,26 +98,32 @@ class Vertex(NamedTuple):
     jacobian: bool
 
 
+# the six vertices, built once; `action_vertices` hands out new lists of them
+_ORDER_1 = (
+    Vertex("qd2q2", (QDOT, QDOT, Q, Q), -G, jacobian=False),
+    Vertex("q4", (Q, Q, Q, Q), -G * W * W * Fraction(1, 3), jacobian=False),
+    Vertex("jq2", (Q, Q), G * D0, jacobian=True),
+)
+_ORDER_2 = (
+    Vertex("qd2q4", (QDOT, QDOT, Q, Q, Q, Q),
+           G * G * (ONE + 2 * A) * Fraction(1, 2), jacobian=False),
+    Vertex("q6", (Q,) * 6,
+           G * G * W * W * (ValuePoly.rational(Fraction(1, 9)) + A * Fraction(2, 5))
+           * Fraction(1, 2), jacobian=False),
+    Vertex("jq4", (Q, Q, Q, Q),
+           -G * G * (A - Fraction(1, 2)) * D0, jacobian=True),
+)
+
+
 def action_vertices(order: int) -> list[Vertex]:
-    """The interaction and measure vertices carrying g^order, exact couplings."""
-    half = Fraction(1, 2)
+    """The interaction and measure vertices carrying g^order, exact couplings.
+
+    Each call returns a new list, so a caller may change it.
+    """
     if order == 1:
-        return [
-            Vertex("qd2q2", (QDOT, QDOT, Q, Q), -G, jacobian=False),
-            Vertex("q4", (Q, Q, Q, Q), -G * W * W * Fraction(1, 3), jacobian=False),
-            Vertex("jq2", (Q, Q), G * D0, jacobian=True),
-        ]
+        return list(_ORDER_1)
     if order == 2:
-        g2 = G * G
-        return [
-            Vertex("qd2q4", (QDOT, QDOT, Q, Q, Q, Q),
-                   g2 * (ONE + 2 * A) * half, jacobian=False),
-            Vertex("q6", (Q,) * 6,
-                   g2 * W * W * (ValuePoly.rational(Fraction(1, 9)) + A * Fraction(2, 5)) * half,
-                   jacobian=False),
-            Vertex("jq4", (Q, Q, Q, Q),
-                   -g2 * (A - half) * D0, jacobian=True),
-        ]
+        return list(_ORDER_2)
     raise ValueError("vertices are expanded to second order only")
 
 
@@ -306,13 +319,30 @@ class DiagramClass(NamedTuple):
         return self.local_value.is_zero or self.coefficient.is_zero
 
 
-def _splits(legs: tuple[str, ...]) -> list[tuple[tuple[int, int, int], int, int, int]]:
-    """Self-pair splits of one vertex's legs: (kinds, a, b, ways).
+# n! for n up to 12: `_splits` and `_class_counts` take factorials of leg counts
+# of one vertex, and the largest has 6 legs
+_FACTORIALS = tuple(factorial(n) for n in range(13))
 
-    `kinds` counts the u qq, y qdot q and x qdot qdot pairs; they leave a
-    dotted and b plain legs free, and the k dotted and l plain legs can be
-    paired so in k! l! / (2^(x+u) x! u! y! a! b!) ways.
+
+def _self_pairs(label: str, kinds: tuple[int, int, int]) -> tuple[tuple[str, str], ...]:
+    """The sorted (label, kind name) self pairs of one vertex, counted by kind."""
+    pairs: tuple[tuple[str, str], ...] = ()
+    for name, n in sorted(zip(_SELF_KIND.values(), kinds)):
+        pairs += ((label, name),) * n
+    return pairs
+
+
+def _splits(vertex: Vertex) -> tuple[str, list[tuple]]:
+    """The vertex label and its legs' self-pair splits, (kinds, self pairs, a, b, ways):
+    the form in which `_class_counts` reads a vertex.
+
+    `kinds` counts the u qq, y qdot q and x qdot qdot pairs, in `_SELF_KIND`
+    order, and `self pairs` lists them sorted as (label, kind name); they
+    leave a dotted and b plain legs free, and the k dotted and l plain legs
+    can be paired so in k! l! / (2^(x+u) x! u! y! a! b!) ways.
     """
+    label, legs = vertex.label, vertex.legs
+    f = _FACTORIALS
     k = legs.count(QDOT)
     l = len(legs) - k
     out = []
@@ -320,46 +350,49 @@ def _splits(legs: tuple[str, ...]) -> list[tuple[tuple[int, int, int], int, int,
         for y in range(min(k - 2 * x, l) + 1):
             for u in range((l - y) // 2 + 1):
                 a, b = k - 2 * x - y, l - y - 2 * u
-                ways = factorial(k) * factorial(l) // (
-                    2 ** (x + u) * factorial(x) * factorial(u) * factorial(y)
-                    * factorial(a) * factorial(b))
-                out.append(((u, y, x), a, b, ways))
-    return out
+                kinds = (u, y, x)
+                ways = f[k] * f[l] // (2 ** (x + u) * f[x] * f[u] * f[y] * f[a] * f[b])
+                out.append((kinds, _self_pairs(label, kinds), a, b, ways))
+    return label, out
 
 
-def _self_pairs(*vertices: tuple[str, tuple[int, int, int]]) -> tuple[tuple[str, str], ...]:
-    """The sorted (vertex label, pair kind) list of (label, kinds) pairs."""
-    return tuple(sorted((label, name) for label, kinds in vertices
-                        for name, n in zip(_SELF_KIND.values(), kinds) for _ in range(n)))
-
-
-def _class_counts(first: tuple[str, list], second: tuple[str, list] | None = None
+def _class_counts(first: tuple[str, list[tuple]], second: tuple[str, list[tuple]] | None = None
                   ) -> dict[tuple, int]:
-    """(self pairs, shape, sign) -> matchings over the connected contractions
-    of one vertex or a pinned pair: `enumerate_contractions` grouped, counted.
+    """(kinds, self pairs, shape, sign) -> matchings over the connected
+    contractions of one vertex or a pinned pair: `enumerate_contractions`
+    grouped, counted.
 
-    Each vertex comes as (label, `_splits` of its legs).
+    Each vertex comes as its `_splits`.  `kinds` counts the self pairs of
+    both vertices by kind and follows from the self pairs; it rides in the
+    key so that no caller counts it again.
     """
     label1, splits1 = first
     if second is None:
-        return {(_self_pairs((label1, kinds)), (0, 0, 0, 0), 1): ways
-                for kinds, a, b, ways in splits1 if not a and not b}
+        return {(kinds, selfs, (0, 0, 0, 0), 1): ways
+                for kinds, selfs, a, b, ways in splits1 if not a and not b}
     label2, splits2 = second
+    sign = PINNED_DERIVATIVE_SIGN
+    f = _FACTORIALS
     counts: dict[tuple, int] = {}
-    for kinds1, a1, b1, ways1 in splits1:
-        for kinds2, a2, b2, ways2 in splits2:
-            # the free legs pair off across, with at least one cross line to
-            # keep the pair connected
-            if a1 + b1 != a2 + b2 or not a1 + b1:
+    for (u1, y1, x1), selfs1, a1, b1, ways1 in splits1:
+        # the free legs pair off across, with at least one cross line to
+        # keep the pair connected
+        if not a1 + b1:
+            continue
+        for (u2, y2, x2), selfs2, a2, b2, ways2 in splits2:
+            if a1 + b1 != a2 + b2:
                 continue
-            selfs = _self_pairs((label1, kinds1), (label2, kinds2))
-            free = factorial(a1) * factorial(b1) * factorial(a2) * factorial(b2)
+            kinds = (u1 + u2, y1 + y2, x1 + x2)
+            if label1 == label2:
+                selfs = _self_pairs(label1, kinds)
+            else:
+                selfs = selfs1 + selfs2 if label1 < label2 else selfs2 + selfs1
+            ways = ways1 * ways2 * f[a1] * f[b1] * f[a2] * f[b2]
             for X in range(max(0, a1 - b2, a2 - b1), min(a1, a2) + 1):
                 Y, Z = a1 - X, a2 - X
                 U = b1 - Z
-                key = (selfs, (U, Y + Z, X, 0), PINNED_DERIVATIVE_SIGN ** (X + Z))
-                counts[key] = counts.get(key, 0) + ways1 * ways2 * free // (
-                    factorial(X) * factorial(Y) * factorial(Z) * factorial(U))
+                key = (kinds, selfs, (U, Y + Z, X, 0), sign ** (X + Z))
+                counts[key] = counts.get(key, 0) + ways // (f[X] * f[Y] * f[Z] * f[U])
     return counts
 
 
@@ -368,19 +401,18 @@ def diagram_classes(order: int) -> list[DiagramClass]:
     if order not in (1, 2):
         raise ValueError("diagrams are generated to second order only")
     # the equal-time factor of each distinct self-pair kind count, once per call
-    locals_: dict[tuple[int, ...], ValuePoly] = {}
+    locals_: dict[tuple[int, int, int], ValuePoly] = {}
     # key -> [matchings, weight of one matching, equal-time value, family]
     groups: dict = {}
 
     def add(vertices: tuple[str, ...], counts: dict[tuple, int], weight: ValuePoly,
             family: str | None) -> None:
-        for (selfs, shape, sign), count in counts.items():
+        for (kinds, selfs, shape, sign), count in counts.items():
             key = (vertices, selfs, shape, sign)
             entry = groups.get(key)
             if entry is not None:
                 entry[0] += count
                 continue
-            kinds = tuple(sum(name == kind for _, name in selfs) for kind in _SELF_KIND.values())
             local = locals_.get(kinds)
             if local is None:
                 local = locals_[kinds] = _equal_time(kinds)
@@ -388,17 +420,16 @@ def diagram_classes(order: int) -> list[DiagramClass]:
                            family or ("bubble" if selfs else "watermelon")]
 
     for v in action_vertices(order):
-        add((v.label,), _class_counts((v.label, _splits(v.legs))), v.coupling, "local")
+        add((v.label,), _class_counts(_splits(v)), v.coupling, "local")
     if order == 2:
-        first = [(v, (v.label, _splits(v.legs))) for v in action_vertices(1)]
+        first = [(v, _splits(v)) for v in action_vertices(1)]
         for v1, split1 in first:
             for v2, split2 in first:
                 add(tuple(sorted((v1.label, v2.label))), _class_counts(split1, split2),
                     CUMULANT_PREFACTOR * v1.coupling * v2.coupling,
                     "jacobian_bubble" if v1.jacobian or v2.jacobian else None)
-    return [DiagramClass(order=order, family=family, vertices=vertices, self_pairs=selfs,
-                         shape=shape, sign=sign, multiplicity=count,
-                         coefficient=weight * count, local_value=local)
+    return [DiagramClass(order, family, vertices, selfs, shape, sign, count,
+                         weight * count, local)
             for (vertices, selfs, shape, sign), (count, weight, local, family) in sorted(
                 groups.items(), key=lambda kv: (kv[0][0], kv[0][2], kv[0][1], kv[0][3]))]
 
@@ -408,15 +439,19 @@ def order_contribution(classes: Iterable[DiagramClass]
     """(local scalar part, nonlocal integrand) summed over `classes`; sums are canonical.
 
     Each class's weight, coefficient * local value, is added to the local part
-    when the class has no cross line; otherwise it becomes, negated for a sign
-    of -1, the coefficient of the class's line monomial.
+    when the class has no cross line; otherwise it is added, negated for a
+    sign of -1, to the sum of the class's line shape, and each shape makes
+    one line monomial.
     """
     local_total = ZERO
-    nonlocal_terms: list[IntegrandMonomial] = []
+    lines: dict[tuple[int, int, int, int], ValuePoly] = {}
     for cls in classes:
         weight = cls.coefficient * cls.local_value
-        if cls.shape == (0, 0, 0, 0):
+        shape = cls.shape
+        if shape == (0, 0, 0, 0):
             local_total = local_total + weight
         else:
-            nonlocal_terms.append(IntegrandMonomial(*cls.shape, weight if cls.sign > 0 else -weight))
-    return local_total, IntegrandSum(nonlocal_terms)
+            signed = weight if cls.sign > 0 else -weight
+            lines[shape] = lines[shape] + signed if shape in lines else signed
+    return local_total, IntegrandSum([IntegrandMonomial(*shape, total)
+                                      for shape, total in lines.items()])

@@ -45,6 +45,14 @@ def test_non_int_powers_rejected():
             mono(0, bad)
 
 
+def test_non_ring_coefficients_rejected():
+    # refused at construction, not later with an AttributeError from the reducer
+    for bad in (3, Fraction(1, 2), 0.5, None):
+        with pytest.raises(TypeError):
+            IntegrandMonomial(1, 0, 0, 0, bad)
+    assert mono(1, coeff=3).coeff == ValuePoly.rational(3)
+
+
 def test_shape_and_bare_measure():
     t = mono(1, 2, 0, 1, coeff=Fraction(3, 2))
     assert t.shape == (1, 2, 0, 1)

@@ -38,10 +38,13 @@ def test_exponents_and_powers_must_be_ints():
             ValuePoly.monomial(1, g=bad)
         with pytest.raises(TypeError):
             ValuePoly({(0, bad, 0, 0): 1})
+    # any non-int power is a TypeError; only a negative int is a ValueError
     for base in (W, W + D0, ZERO):
-        for bad in (True, False):
+        for bad in (True, False, 0.5, 2.0, Fraction(2), Fraction(1, 2)):
             with pytest.raises(TypeError):
                 base ** bad
+        with pytest.raises(ValueError):
+            base ** -1
 
 
 def test_w_may_carry_any_integer_exponent():
@@ -244,6 +247,46 @@ def test_substitute_raises_only_past_the_digit_limit(terms, value):
         assert got == exact
     finally:
         sys.set_int_max_str_digits(limit)
+
+
+def _fraction_substitute(poly, bindings):
+    """`substitute` by Fractions: each term's coefficient times its bound
+    powers, added up by the exponents of its unbound symbols."""
+    index = {"w": 0, "d0": 1, "a": 2, "g": 3}
+    out = {}
+    for exps, coef in poly.items():
+        rest = list(exps)
+        for name, value in bindings.items():
+            coef *= Fraction(value) ** exps[index[name]]
+            rest[index[name]] = 0
+        out[tuple(rest)] = out.get(tuple(rest), Fraction(0)) + coef
+    return ValuePoly(out)
+
+
+# 0 and +-1 take the short sums, a negative a flips signs, and a w with a big
+# numerator and denominator gives big reduced pairs to merge
+_BINDING_VALUES = {
+    "w": st.sampled_from([Fraction(1), Fraction(3), Fraction(2, 7),
+                          Fraction(2 ** 61 - 1, 3 ** 37), Fraction(5 ** 20, 2 ** 50 + 1)]),
+    "d0": st.sampled_from([Fraction(0), Fraction(1), Fraction(-1)]) | rationals(9, 7),
+    "a": st.sampled_from([Fraction(0), Fraction(-1), Fraction(-3, 5)]) | rationals(9, 7),
+    "g": st.sampled_from([Fraction(0), Fraction(1), Fraction(-1)]) | rationals(9, 7),
+}
+
+
+@st.composite
+def _bindings(draw):
+    names = draw(st.lists(st.sampled_from(sorted(_BINDING_VALUES)), unique=True, max_size=4))
+    return {name: draw(_BINDING_VALUES[name]) for name in names}
+
+
+@given(value_polys(max_terms=6), _bindings())
+@settings(max_examples=200, deadline=None)
+def test_substitute_on_pairs_matches_fraction_arithmetic(poly, bindings):
+    got = poly.substitute(bindings)
+    assert got == _fraction_substitute(poly, bindings)
+    _assert_canonical(got)
+    _assert_pairs_reduced(got)
 
 
 def test_render_fixed_forms():

@@ -1,41 +1,101 @@
-"""Coordinate independence picks the equal-time constants: the dD(0) family.
+"""Coordinate independence picks the equal-time constants, one family at a time.
 
-The order checks must leave a zero residue.  With `integrand.DDOT_AT_ZERO`
-patched to a rational constant c, every residue is a polynomial in c with
-coefficients in the ring.  Three probes fix a polynomial of degree 2 by
-exact Lagrange interpolation over Fractions, and a fourth probe checks each
-interpolant, so a term of higher degree in c would show.  The pinned
-polynomials then show that c = 0, the shipped value, is the only rational c
-that passes the checks.
+The order checks must leave a zero residue.  With one equal-time constant
+of `integrand` patched to a family of values along a rational parameter c,
+every residue is a polynomial in c with coefficients in the ring.  Three
+probes fix a polynomial of degree 2 by exact Lagrange interpolation over
+Fractions, and a fourth probe checks each interpolant, so a term of higher
+degree in c would show.  The pinned polynomials then show that the shipped
+value is the only rational c that passes the checks.  Three families are
+pinned, each at order 1, at order 2 and at order 2 with a = 1/2:
 
-It is a double root, and every residue is even in c: the checks cannot tell
-dD(0) = c from dD(0) = -c.  That is the sign blind spot of the vacuum
-energy, which is even under t -> -t; the same cause hides a flip of
-`wick.PINNED_DERIVATIVE_SIGN`, which `test_wick.py` holds to the chain rule
-instead.
+    dD(0)  = c             shipped c = 0
+    ddD(0) = w/2 - c d0    shipped c = 1   (the weight of the contact part)
+    ddD(0) = c w/2 - d0    shipped c = 1   (the weight of the smooth part)
+
+For dD(0), c = 0 is a double root, and every residue is even in c: the
+checks cannot tell dD(0) = c from dD(0) = -c.  That is the sign blind spot
+of the vacuum energy, which is even under t -> -t; the same cause hides a
+flip of `wick.PINNED_DERIVATIVE_SIGN`, which `test_wick.py` holds to the
+chain rule instead.
+
+Every residue of the contact-weight family carries d0, so the Veltman
+convention, d0 = 0, hides that family whole.  In the smooth-weight family
+the a = 1/2 check alone also passes at c = -1; the order-1 check and the
+plain order-2 check rule that value out.
 """
 
 from fractions import Fraction
 
 import pytest
 
-from singint import A, G, ZERO, ValuePoly, order_check, wpow
+from singint import A, D0, G, ZERO, ValuePoly, order_check, wpow
 from singint import integrand
 
 PROBES = (Fraction(-1), Fraction(1, 2), Fraction(1))
 CHECK_PROBE = Fraction(2)
 
-# (order, a binding) -> residue coefficients of c^0, c^1, c^2
-PINNED = {
-    (1, None): [ZERO, ZERO, -2 * G],
-    (2, None): [ZERO, ZERO, (6 * A + 4) * G * G * wpow(-1)],
-    (2, Fraction(1, 2)): [ZERO, ZERO, 7 * G * G * wpow(-1)],
+# the three checks: (order, a binding)
+CHECKS = ((1, None), (2, None), (2, Fraction(1, 2)))
+CHECK_IDS = ["order_1", "order_2", "order_2_a_half"]
+
+HALF_W = ValuePoly.monomial(Fraction(1, 2), w=1)
+
+# family -> (the patched constant, its value at c, the shipped c)
+FAMILIES = {
+    "dd_at_zero": ("DDOT_AT_ZERO", ValuePoly.rational, Fraction(0)),
+    "ddd_contact_weight": ("DDDOT_AT_ZERO", lambda c: HALF_W - c * D0, Fraction(1)),
+    "ddd_smooth_weight": ("DDDOT_AT_ZERO", lambda c: c * HALF_W - D0, Fraction(1)),
 }
 
 
-def _residue(monkeypatch, c, order, a_binding):
-    monkeypatch.setattr(integrand, "DDOT_AT_ZERO", ValuePoly.rational(c))
-    return order_check(order, a_binding=a_binding).actual
+def _times(c_poly, ring):
+    """The ring coefficients, lowest power of c first, of c_poly(c) * ring."""
+    return [ring * x for x in c_poly] + [ZERO] * (len(PROBES) - len(c_poly))
+
+
+def _plus(*polys):
+    return [sum(terms, ZERO) for terms in zip(*polys)]
+
+
+ONE_MINUS_C = [1, -1]                  # 1 - c
+ONE_MINUS_C_SQUARED = [1, -2, 1]       # (1 - c)^2
+ONE_MINUS_C_TWO_MINUS_C = [2, -3, 1]   # (1 - c)(2 - c)
+ONE_MINUS_C_ONE_PLUS_C = [1, 0, -1]    # (1 - c)(1 + c)
+G2 = G * G
+
+# (family, order, a binding) -> residue coefficients of c^0, c^1, c^2
+PINNED = {
+    ("dd_at_zero", 1, None): [ZERO, ZERO, -2 * G],
+    ("dd_at_zero", 2, None): [ZERO, ZERO, (6 * A + 4) * G2 * wpow(-1)],
+    ("dd_at_zero", 2, Fraction(1, 2)): [ZERO, ZERO, 7 * G2 * wpow(-1)],
+    # (1-c)/2 g d0 w^-1
+    ("ddd_contact_weight", 1, None): _times(ONE_MINUS_C, Fraction(1, 2) * G * D0 * wpow(-1)),
+    # -(1-c)^2/4 g^2 d0^2 w^-3 - 3(1-c)/4 g^2 d0 a w^-2 + (1-c)/8 g^2 d0 w^-2
+    ("ddd_contact_weight", 2, None): _plus(
+        _times(ONE_MINUS_C_SQUARED, Fraction(-1, 4) * G2 * D0 * D0 * wpow(-3)),
+        _times(ONE_MINUS_C, Fraction(-3, 4) * G2 * D0 * A * wpow(-2)),
+        _times(ONE_MINUS_C, Fraction(1, 8) * G2 * D0 * wpow(-2))),
+    # -(1-c)^2/4 g^2 d0^2 w^-3 - (1-c)/4 g^2 d0 w^-2
+    ("ddd_contact_weight", 2, Fraction(1, 2)): _plus(
+        _times(ONE_MINUS_C_SQUARED, Fraction(-1, 4) * G2 * D0 * D0 * wpow(-3)),
+        _times(ONE_MINUS_C, Fraction(-1, 4) * G2 * D0 * wpow(-2))),
+    # -(1-c)/4 g
+    ("ddd_smooth_weight", 1, None): _times(ONE_MINUS_C, Fraction(-1, 4) * G),
+    # 3(1-c)/8 g^2 a w^-1 - (1-c)(2-c)/16 g^2 w^-1
+    ("ddd_smooth_weight", 2, None): _plus(
+        _times(ONE_MINUS_C, Fraction(3, 8) * G2 * A * wpow(-1)),
+        _times(ONE_MINUS_C_TWO_MINUS_C, Fraction(-1, 16) * G2 * wpow(-1))),
+    # (1-c)(1+c)/16 g^2 w^-1
+    ("ddd_smooth_weight", 2, Fraction(1, 2)): _times(ONE_MINUS_C_ONE_PLUS_C,
+                                                     Fraction(1, 16) * G2 * wpow(-1)),
+}
+
+
+def _residue(monkeypatch, family, c, order, a_binding, veltman=False):
+    name, value, _ = FAMILIES[family]
+    monkeypatch.setattr(integrand, name, value(c))
+    return order_check(order, a_binding=a_binding, veltman=veltman).actual
 
 
 def _times_linear(poly, root):
@@ -97,34 +157,80 @@ def test_lagrange_interpolation_recovers_a_known_polynomial():
 
 @pytest.fixture(scope="module")
 def residue_polynomials():
-    with pytest.MonkeyPatch.context() as monkeypatch:
-        polys = {}
-        for (order, a_binding) in PINNED:
-            points = [(c, _residue(monkeypatch, c, order, a_binding)) for c in PROBES]
-            poly = _interpolate(points)
-            check = _residue(monkeypatch, CHECK_PROBE, order, a_binding)
-            mirror = _residue(monkeypatch, -CHECK_PROBE, order, a_binding)
-            polys[order, a_binding] = poly, check, mirror
+    """(family, order, a binding) -> (interpolant, {c: residue}) over the probes,
+    the check probe and its mirror."""
+    polys = {}
+    for family, order, a_binding in PINNED:
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            at = {c: _residue(monkeypatch, family, c, order, a_binding)
+                  for c in PROBES + (CHECK_PROBE, -CHECK_PROBE)}
+        poly = _interpolate([(c, at[c]) for c in PROBES])
+        polys[family, order, a_binding] = poly, at
     return polys
 
 
-@pytest.mark.parametrize("order, a_binding", PINNED, ids=["order_1", "order_2", "order_2_a_half"])
-def test_dd_at_zero_residue_is_pinned_and_even(residue_polynomials, order, a_binding):
-    poly, check, mirror = residue_polynomials[order, a_binding]
-    assert poly == PINNED[order, a_binding]
-    # the check probe: no term of higher degree in c hides between the probes
-    assert check == _evaluate(poly, CHECK_PROBE)
-    # no odd power of c: the checks are blind to the sign of dD(0)
-    assert mirror == check
-
-
-def test_dd_at_zero_vanishes_only_at_the_shipped_zero(residue_polynomials):
-    # one polynomial in c per ring coefficient of each residue, all of which must vanish
+def _common_factor(residue_polynomials, family):
+    """The monic gcd over Fractions of every ring coefficient of the family's
+    residues, each read as a polynomial in c."""
     per_coefficient = []
-    for poly, _, _ in residue_polynomials.values():
+    for (name, *_), (poly, *_) in residue_polynomials.items():
+        if name != family:
+            continue
         exponents = {exps for coefficient in poly for exps, _ in coefficient.items()}
         per_coefficient += [[coefficient.coefficient_of(*exps) for coefficient in poly]
                             for exps in exponents]
     assert per_coefficient
-    # their common factor is c^2: c = 0 is the one common root, and a double one
-    assert _monic_gcd(per_coefficient) == [0, 0, 1]
+    return _monic_gcd(per_coefficient)
+
+
+def _assert_pinned(residue_polynomials, key):
+    poly, at = residue_polynomials[key]
+    assert poly == PINNED[key]
+    # the check probe: no term of higher degree in c hides between the probes
+    assert at[CHECK_PROBE] == _evaluate(poly, CHECK_PROBE)
+
+
+@pytest.mark.parametrize("order, a_binding", CHECKS, ids=CHECK_IDS)
+def test_dd_at_zero_residue_is_pinned_and_even(residue_polynomials, order, a_binding):
+    key = ("dd_at_zero", order, a_binding)
+    _assert_pinned(residue_polynomials, key)
+    _, at = residue_polynomials[key]
+    # no odd power of c: the checks are blind to the sign of dD(0)
+    assert at[-CHECK_PROBE] == at[CHECK_PROBE]
+
+
+def test_dd_at_zero_vanishes_only_at_the_shipped_zero(residue_polynomials):
+    # the common factor is c^2: c = 0 is the one common root, and a double one
+    assert _common_factor(residue_polynomials, "dd_at_zero") == [0, 0, 1]
+
+
+@pytest.mark.parametrize("order, a_binding", CHECKS, ids=CHECK_IDS)
+@pytest.mark.parametrize("family", ["ddd_contact_weight", "ddd_smooth_weight"])
+def test_ddd_at_zero_residue_is_pinned(residue_polynomials, family, order, a_binding):
+    _assert_pinned(residue_polynomials, (family, order, a_binding))
+
+
+@pytest.mark.parametrize("family", ["ddd_contact_weight", "ddd_smooth_weight"])
+def test_ddd_at_zero_vanishes_only_at_the_shipped_one(residue_polynomials, family):
+    assert FAMILIES[family][2] == 1
+    # the common factor is c - 1: c = 1 is the one common root
+    assert _common_factor(residue_polynomials, family) == [-1, 1]
+
+
+def test_veltman_hides_the_contact_weight_family(residue_polynomials, monkeypatch):
+    for (family, *_), (poly, *_) in residue_polynomials.items():
+        if family == "ddd_contact_weight":
+            assert all(d0 > 0 for coefficient in poly for (_, d0, _, _), _ in coefficient.items())
+    for order, a_binding in CHECKS:
+        for c in PROBES + (CHECK_PROBE,):
+            assert _residue(monkeypatch, "ddd_contact_weight", c, order, a_binding,
+                            veltman=True) == ZERO
+
+
+def test_a_half_alone_passes_the_smooth_weight_at_minus_one(residue_polynomials):
+    at = {(order, a_binding): residue_polynomials["ddd_smooth_weight", order, a_binding][1]
+          for order, a_binding in CHECKS}
+    assert at[2, Fraction(1, 2)][Fraction(-1)] == ZERO
+    # the order-1 and the plain order-2 checks rule c = -1 out
+    assert at[1, None][Fraction(-1)] == Fraction(-1, 2) * G
+    assert at[2, None][Fraction(-1)] != ZERO

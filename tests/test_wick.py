@@ -56,6 +56,19 @@ def test_vertices_only_first_two_orders():
             action_vertices(bad)
 
 
+@pytest.mark.parametrize("order", [1, 2])
+def test_each_call_returns_a_new_vertex_list(order):
+    first = action_vertices(order)
+    want = list(first)
+    assert action_vertices(order) is not first
+    first.clear()
+    assert action_vertices(order) == want
+    second = action_vertices(order)
+    second[0] = second[0]._replace(coupling=ONE)
+    second.append(second[1])
+    assert action_vertices(order) == want
+
+
 def test_matching_counts_small():
     for k in range(0, 7):
         assert len(list(perfect_matchings(tuple(range(2 * k))))) == double_factorial_odd(k)
@@ -289,7 +302,15 @@ def _enumerated_counts(v1, v2=None):
 
 
 def _counted(v1, v2=None):
-    return _class_counts(*((v.label, _splits(v.legs)) for v in (v1, v2) if v is not None))
+    """`_class_counts` keyed as `_enumerated_counts`, after checking that each
+    key's self-pair kind counts follow from its self pairs."""
+    counts = {}
+    splits = [_splits(v) for v in (v1, v2) if v is not None]
+    for (kinds, selfs, shape, sign), count in _class_counts(*splits).items():
+        assert kinds == tuple(sum(name == kind for _, name in selfs)
+                              for kind in ("qq", "qdot q", "qdot qdot"))
+        counts[selfs, shape, sign] = count
+    return counts
 
 
 def _enumerated_classes(order):
