@@ -258,12 +258,14 @@ class ValuePoly:
         """Substitute exact rationals for some symbols; w must be positive.
 
         Symbols are bound one at a time, on the stored pairs, and
-        `_power_sum` adds up the terms each binding merges, so a power sure
+        `_power_sum` adds up the terms each binding merges.  It groups their
+        powers by the heights of the input coefficients alone, so a sum sure
         to pass the int-to-str digit limit raises the printer's error before
-        it is built.  The bound holds after each binding: w^k a^k at w = 2,
-        a = 1/2 raises for a k whose 2^k is too long to print, though the
-        whole product is 1.  A term that a binding zeroes is kept, and
-        bounded, until the last binding.
+        any power past the input's own reach is built.  The bound holds
+        after each binding: w^k a^k at w = 2, a = 1/2 raises for a k whose
+        2^k is too long to print, though the whole product is 1.  A term
+        that a binding zeroes is dropped at once, so no later binding
+        bounds it.
         """
         for name in bindings:
             if name not in _SYMBOL_INDEX:
@@ -278,8 +280,9 @@ class ValuePoly:
                 key = exps[:idx] + (0,) + exps[idx + 1:]
                 merged.setdefault(key, []).append((exps[idx], coef))  # type: ignore[arg-type]
             pair = _q(value)
-            terms = {key: _power_sum(powers, pair) for key, powers in merged.items()}
-        return _canonical(terms)
+            terms = {key: coef for key, powers in merged.items()
+                     if (coef := _power_sum(powers, pair))[0]}
+        return _wrap(terms)
 
     # -- rendering ---------------------------------------------------------
 
@@ -346,14 +349,20 @@ def _qpow(x: Pair, k: int) -> Pair:
 def _power_sum(powers: list[tuple[int, Pair]], value: Pair) -> Pair:
     """Exact sum of coef * value**k over (k, coef) pairs with distinct k.
 
-    The terms split into runs at gaps of more than 8 * limit powers, and each
-    run is summed with its lowest power factored out, so no power is built
-    that the run would cancel.  A sum that keeps one run is bounded as one
-    term.  Two surviving runs with factored sums s and t, of bit heights
-    h(s) and h(t), G > 2 (4 * limit + h(s) + h(t)) + 2 powers apart, leave
-    more than 4 * limit bits upstairs or downstairs (compare the p- or
-    q-adic orders of the two runs, or their sizes where p or q is 1), so
-    they raise the printer's error; nearer runs are joined.
+    One pass stacks the sorted powers in groups: a group merges into the
+    one below while their gap is within 2 (4 * limit + H_below + H_above)
+    + 2 bits, at bitlength(max(|p|, q)) - 1 bits per power of value = p/q,
+    where H sums the heights of a group's input coefficients.  No built sum
+    steers the pass, and each group is summed from its lowest power, so n
+    terms of summed height H build no power past (n - 1)(8 * limit + 2 H
+    + 2) such bits.  Two surviving groups lie further apart: at the primes
+    of q the higher outweighs the lower, at those of p the lower the
+    higher, and where p or q is 1 their sizes part, each by more than the
+    H_below + H_above bits their coefficients can cancel.  So the sum keeps
+    over half the gap less those heights, more than 4 * limit bits,
+    upstairs or downstairs, and raises the printer's error.  A zero group
+    between survivors only widens their gap; a lone survivor is bounded as
+    one term.
     """
     if len(powers) == 1:
         ((k, coef),) = powers
@@ -366,33 +375,31 @@ def _power_sum(powers: list[tuple[int, Pair]], value: Pair) -> Pair:
     if not limit or (value[1] == 1 and -1 <= value[0] <= 1):
         return _sum_powers(powers, value)  # no power here grows
     powers = sorted(powers)
-    runs = [[powers[0]]]
-    for k, coef in powers[1:]:
-        if k - runs[-1][-1][0] > 8 * limit:
-            runs.append([])
-        runs[-1].append((k, coef))
-    low, total = 0, (0, 1)
-    for run in runs:
-        start = run[0][0]
-        rest = _sum_powers([(k - start, coef) for k, coef in run], value)
-        if not rest[0]:
-            continue
-        if not total[0]:
-            low, total = start, rest
-        elif start - low > 2 * (4 * limit + _height(total) + _height(rest)) + 2:
-            raise _digit_limit_error()
-        else:
-            total = _qadd(total, _qmul(rest, _qpow(value, start - low)))
-    if total[0] and _passes_digit_limit(total, low, value):
+    bits = max(abs(value[0]), value[1]).bit_length() - 1
+    stack: list[tuple[int, int]] = []  # (index of a group's lowest power, its input height)
+    for i, (_, coef) in enumerate(powers):
+        start, height = i, _height(coef)
+        while stack and ((powers[start][0] - powers[start - 1][0]) * bits
+                         <= 2 * (4 * limit + stack[-1][1] + height) + 2):
+            start, below = stack.pop()
+            height += below
+        stack.append((start, height))
+    bounds = [start for start, _ in stack] + [len(powers)]
+    survivors = [(total, powers[a][0]) for a, b in zip(bounds, bounds[1:])
+                 if (total := _sum_powers(powers[a:b], value, powers[a][0]))[0]]
+    if not survivors:
+        return 0, 1
+    (total, low), *others = survivors
+    if others or _passes_digit_limit(total, low, value):
         raise _digit_limit_error()
     return _qmul(total, _qpow(value, low))
 
 
-def _sum_powers(powers: Iterable[tuple[int, Pair]], value: Pair) -> Pair:
-    """coef * value**k summed over (k, coef) pairs, with no digit bound."""
+def _sum_powers(powers: Iterable[tuple[int, Pair]], value: Pair, low: int = 0) -> Pair:
+    """coef * value**(k - low) summed over (k, coef) pairs, with no digit bound."""
     total = (0, 1)
     for k, coef in powers:
-        total = _qadd(total, _qmul(coef, _qpow(value, k)))
+        total = _qadd(total, _qmul(coef, _qpow(value, k - low)))
     return total
 
 

@@ -22,7 +22,7 @@ from typing import Iterable, NamedTuple
 
 from .integrand import D_AT_ZERO, parse
 from .reducer import ReductionTrace, reduce
-from .ring import D0, G, W, ZERO, RationalLike, ValuePoly, _digits
+from .ring import D0, G, W, ZERO, RationalLike, ValuePoly
 from .wick import DiagramClass, diagram_classes, order_contribution
 
 # frozen nonsingular integrals (independently confirmed by the oracle)
@@ -158,7 +158,7 @@ def order_check(order: int, a_binding: RationalLike | None = None,
     """
     bindings = symbol_bindings(a_binding, veltman)
     label = f"order-{order} total" + "".join(
-        f" ({name} = {_digits(Fraction(value))})" for name, value in bindings.items())
+        f" ({name} = {ValuePoly.rational(value).render()})" for name, value in bindings.items())
     return _check(label, ZERO, *_total(diagram_classes(order), bindings))
 
 

@@ -227,6 +227,21 @@ def test_huge_decimal_exponent_is_refused_before_it_is_built():
         assert "Traceback" not in done.stderr
 
 
+def test_far_powers_give_the_digit_error_without_building_them():
+    # a 4300-digit binding of w under two powers 8000 apart, and eight terms
+    # whose powers grow about 3x apart: each gives the one-line error at once
+    cascade = ("D + D w^34406 + D w^143470 + D w^489194 + D w^1585114 + D w^5059098"
+               " + D w^16071366 + D w^50979430")
+    for argv in (["reduce", "D + D w^8000", "--omega", "7e4299"],
+                 ["reduce", cascade, "--omega", "3"]):
+        done = _singint(*argv)
+        assert done.returncode == 2
+        assert done.stdout == ""
+        assert done.stderr.startswith("error: a number in the output has more than")
+        assert done.stderr.count("\n") == 1
+        assert "Traceback" not in done.stderr
+
+
 def test_small_decimal_exponents_are_read_as_before(capsys):
     for a, shown in [("1e3", "1000"), ("1.5", "3/2"), ("1e-3", "1/1000"), ("3/4", "3/4"),
                      ("1_0e0_3", "10000")]:

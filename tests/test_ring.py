@@ -216,6 +216,11 @@ def test_substitute_bounds_a_term_under_two_bindings():
             big.substitute(bindings)
 
 
+def test_substitute_drops_a_term_a_binding_zeroes():
+    # d0 = 0 zeroes the term before w = 3 would bound 3^300000000000
+    assert ValuePoly.monomial(1, w=-300000000000, d0=1).substitute({"d0": 0, "w": 3}) == 0
+
+
 def test_substitute_sums_far_apart_powers_without_building_them():
     far = 300000000000
     w = ValuePoly.monomial
@@ -230,8 +235,8 @@ def test_substitute_sums_far_apart_powers_without_building_them():
        rationals(max_num=9, max_den=7).filter(lambda r: r > 0))
 @settings(max_examples=60, deadline=None)
 def test_substitute_raises_only_past_the_digit_limit(terms, value):
-    # a limit of 640 digits splits runs at gaps of 8 * 640 = 5120 powers, and
-    # joins two runs about 5125 powers apart again before it builds them
+    # at a limit of 640 digits, groups part at gaps of 2 * (4 * 640 + H) + 2
+    # bits for coefficient heights H, so powers about 5125 apart sit at the edge
     poly = ZERO
     for base, offset, coef in terms:
         poly = poly + ValuePoly.monomial(coef, w=base + offset)
@@ -247,6 +252,79 @@ def test_substitute_raises_only_past_the_digit_limit(terms, value):
         assert got == exact
     finally:
         sys.set_int_max_str_digits(limit)
+
+
+# w bindings of small height: 9/7 counts 3 bits a power, the rest 1
+_SMALL_W = st.sampled_from([Fraction(2), Fraction(3), Fraction(3, 2), Fraction(9, 7),
+                            Fraction(1, 3)])
+# neighbours, powers near the 640-digit grouping threshold, and far powers
+_GAPS = st.integers(1, 40) | st.integers(4000, 7000) | st.integers(7000, 12000)
+
+
+@st.composite
+def _cancelling_sums(draw):
+    """(w value, {power: coefficient}): a sum built so that far powers cancel.
+
+    "far": a big coefficient at the lowest power cancels the top one;
+    "middle": a middle power cancels the top one above a small term;
+    "chain": each power cancels the one above, down to a small remainder;
+    "target": one coefficient forces the whole sum to a small target.
+    A small nudge of one coefficient may leave a far power uncancelled.
+    """
+    value = draw(_SMALL_W)
+    small = rationals(max_num=9, max_den=4)
+    powers = [draw(st.integers(-10000, 10000))]
+    for _ in range(draw(st.integers(2, 5))):
+        powers.append(powers[-1] + draw(_GAPS))
+    terms = {k: draw(small) for k in powers}
+    kind = draw(st.sampled_from(["far", "middle", "chain", "target"]))
+    top = powers[-1]
+    if kind in ("far", "middle"):
+        low = powers[0] if kind == "far" else draw(st.sampled_from(powers[1:-1]))
+        terms[low] = -terms[top] * value ** (top - low)
+    elif kind == "chain":
+        for above, below in zip(powers[:0:-1], powers[-2::-1]):
+            terms[below] = 1 - value ** (above - below)
+        terms[top] = Fraction(1)
+    else:
+        target = draw(small)
+        forced = draw(st.sampled_from(powers))
+        rest = sum(c * value ** k for k, c in terms.items() if k != forced)
+        terms[forced] = (target - rest) / value ** forced
+    nudged = draw(st.sampled_from(powers))
+    terms[nudged] += draw(st.sampled_from([Fraction(0)] * 3 + [Fraction(1), Fraction(-1, 3)]))
+    return value, terms
+
+
+def _assert_exact_at_640_digits(value, terms):
+    """A raise means the exact value has more than 640 digits upstairs or
+    downstairs; otherwise `substitute` gives the exact value."""
+    poly = ValuePoly({(k, 0, 0, 0): c for k, c in terms.items()})
+    exact = sum((c * value ** k for k, c in terms.items()), Fraction(0))
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        got = poly.substitute({"w": value})
+    except ValueError:
+        assert max(abs(exact.numerator), exact.denominator) >= 10 ** 640
+    else:
+        assert got == exact
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+@given(_cancelling_sums())
+@settings(max_examples=150, deadline=None)
+def test_substitute_groups_cancelling_powers_exactly(drawn):
+    _assert_exact_at_640_digits(*drawn)
+
+
+def test_substitute_keeps_the_sum_of_a_cancelling_middle_group():
+    # the middle and top powers cancel, and leave 1
+    terms = {0: Fraction(1), 150000: Fraction(-2 ** 40000), 190000: Fraction(1)}
+    _assert_exact_at_640_digits(Fraction(2), terms)
+    poly = ValuePoly({(k, 0, 0, 0): c for k, c in terms.items()})
+    assert poly.substitute({"w": 2}) == 1
 
 
 def _fraction_substitute(poly, bindings):

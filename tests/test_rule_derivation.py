@@ -2,13 +2,14 @@
 
 The order checks must leave a zero residue.  With one equal-time constant
 of `integrand` patched to a family of values along a rational parameter c,
-every residue is a polynomial in c with coefficients in the ring.  Three
-probes fix a polynomial of degree 2 by exact Lagrange interpolation over
-Fractions, and a fourth probe checks each interpolant, so a term of higher
+every residue is a polynomial in c with coefficients in the ring.  Four
+probes fix a polynomial of degree 3 by exact Lagrange interpolation over
+Fractions, and a fifth probe checks each interpolant, so a term of higher
 degree in c would show.  The pinned polynomials then show that the shipped
-value is the only rational c that passes the checks.  Three families are
+value is the only rational c that passes the checks.  Four families are
 pinned, each at order 1, at order 2 and at order 2 with a = 1/2:
 
+    D(0)   = c w^-1 / 2    shipped c = 1   (cubic in c)
     dD(0)  = c             shipped c = 0
     ddD(0) = w/2 - c d0    shipped c = 1   (the weight of the contact part)
     ddD(0) = c w/2 - d0    shipped c = 1   (the weight of the smooth part)
@@ -17,7 +18,8 @@ For dD(0), c = 0 is a double root, and every residue is even in c: the
 checks cannot tell dD(0) = c from dD(0) = -c.  That is the sign blind spot
 of the vacuum energy, which is even under t -> -t; the same cause hides a
 flip of `wick.PINNED_DERIVATIVE_SIGN`, which `test_wick.py` holds to the
-chain rule instead.
+chain rule instead.  For D(0), c = 0 passes order 1 too; order 2 rules it
+out.
 
 Every residue of the contact-weight family carries d0, so the Veltman
 convention, d0 = 0, hides that family whole.  In the smooth-weight family
@@ -32,17 +34,19 @@ import pytest
 from singint import A, D0, G, ZERO, ValuePoly, order_check, wpow
 from singint import integrand
 
-PROBES = (Fraction(-1), Fraction(1, 2), Fraction(1))
-CHECK_PROBE = Fraction(2)
+PROBES = (Fraction(-1), Fraction(1, 2), Fraction(1), Fraction(2))
+CHECK_PROBE = Fraction(3)
 
 # the three checks: (order, a binding)
 CHECKS = ((1, None), (2, None), (2, Fraction(1, 2)))
 CHECK_IDS = ["order_1", "order_2", "order_2_a_half"]
 
 HALF_W = ValuePoly.monomial(Fraction(1, 2), w=1)
+HALF_W_INVERSE = ValuePoly.monomial(Fraction(1, 2), w=-1)
 
 # family -> (the patched constant, its value at c, the shipped c)
 FAMILIES = {
+    "d_at_zero": ("D_AT_ZERO", lambda c: c * HALF_W_INVERSE, Fraction(1)),
     "dd_at_zero": ("DDOT_AT_ZERO", ValuePoly.rational, Fraction(0)),
     "ddd_contact_weight": ("DDDOT_AT_ZERO", lambda c: HALF_W - c * D0, Fraction(1)),
     "ddd_smooth_weight": ("DDDOT_AT_ZERO", lambda c: c * HALF_W - D0, Fraction(1)),
@@ -58,17 +62,31 @@ def _plus(*polys):
     return [sum(terms, ZERO) for terms in zip(*polys)]
 
 
-ONE_MINUS_C = [1, -1]                  # 1 - c
-ONE_MINUS_C_SQUARED = [1, -2, 1]       # (1 - c)^2
-ONE_MINUS_C_TWO_MINUS_C = [2, -3, 1]   # (1 - c)(2 - c)
-ONE_MINUS_C_ONE_PLUS_C = [1, 0, -1]    # (1 - c)(1 + c)
+C_SQUARED = [0, 0, 1]                                    # c^2
+ONE_MINUS_C = [1, -1]                                    # 1 - c
+ONE_MINUS_C_SQUARED = [1, -2, 1]                         # (1 - c)^2
+ONE_MINUS_C_TWO_MINUS_C = [2, -3, 1]                     # (1 - c)(2 - c)
+ONE_MINUS_C_ONE_PLUS_C = [1, 0, -1]                      # (1 - c)(1 + c)
+C_ONE_MINUS_C = [0, 1, -1]                               # c(1 - c)
+C_SQUARED_C_MINUS_ONE = [0, 0, -1, 1]                    # c^2 (c - 1)
+C_MINUS_ONE_TIMES_C2_PLUS_C_MINUS_ONE = [1, -2, 0, 1]    # (c - 1)(c^2 + c - 1)
+C_MINUS_ONE_TIMES_2C2_MINUS_C_PLUS_ONE = [-1, 2, -3, 2]  # (c - 1)(2c^2 - c + 1)
 G2 = G * G
 
-# (family, order, a binding) -> residue coefficients of c^0, c^1, c^2
+# (family, order, a binding) -> residue coefficients of c^0 to c^3
 PINNED = {
-    ("dd_at_zero", 1, None): [ZERO, ZERO, -2 * G],
-    ("dd_at_zero", 2, None): [ZERO, ZERO, (6 * A + 4) * G2 * wpow(-1)],
-    ("dd_at_zero", 2, Fraction(1, 2)): [ZERO, ZERO, 7 * G2 * wpow(-1)],
+    # -c(c-1)/4 g
+    ("d_at_zero", 1, None): _times(C_ONE_MINUS_C, Fraction(1, 4) * G),
+    # 3/8 c^2 (c-1) g^2 a w^-1 - (c-1)(c^2+c-1)/16 g^2 w^-1
+    ("d_at_zero", 2, None): _plus(
+        _times(C_SQUARED_C_MINUS_ONE, Fraction(3, 8) * G2 * A * wpow(-1)),
+        _times(C_MINUS_ONE_TIMES_C2_PLUS_C_MINUS_ONE, Fraction(-1, 16) * G2 * wpow(-1))),
+    # (c-1)(2c^2-c+1)/16 g^2 w^-1
+    ("d_at_zero", 2, Fraction(1, 2)): _times(C_MINUS_ONE_TIMES_2C2_MINUS_C_PLUS_ONE,
+                                             Fraction(1, 16) * G2 * wpow(-1)),
+    ("dd_at_zero", 1, None): _times(C_SQUARED, -2 * G),
+    ("dd_at_zero", 2, None): _times(C_SQUARED, (6 * A + 4) * G2 * wpow(-1)),
+    ("dd_at_zero", 2, Fraction(1, 2)): _times(C_SQUARED, 7 * G2 * wpow(-1)),
     # (1-c)/2 g d0 w^-1
     ("ddd_contact_weight", 1, None): _times(ONE_MINUS_C, Fraction(1, 2) * G * D0 * wpow(-1)),
     # -(1-c)^2/4 g^2 d0^2 w^-3 - 3(1-c)/4 g^2 d0 a w^-2 + (1-c)/8 g^2 d0 w^-2
@@ -149,7 +167,7 @@ def _monic_gcd(polys):
 
 
 def test_lagrange_interpolation_recovers_a_known_polynomial():
-    want = [ValuePoly.rational(3), -G, A * Fraction(1, 2)]
+    want = [ValuePoly.rational(3), -G, A * Fraction(1, 2), D0]
     points = [(c, _evaluate(want, c)) for c in PROBES]
     assert _interpolate(points) == want
     assert _monic_gcd([[-2, 1], [4, -4, 1]]) == [-2, 1]  # (c - 2) and (c - 2)^2
@@ -202,6 +220,21 @@ def test_dd_at_zero_residue_is_pinned_and_even(residue_polynomials, order, a_bin
 def test_dd_at_zero_vanishes_only_at_the_shipped_zero(residue_polynomials):
     # the common factor is c^2: c = 0 is the one common root, and a double one
     assert _common_factor(residue_polynomials, "dd_at_zero") == [0, 0, 1]
+
+
+@pytest.mark.parametrize("order, a_binding", CHECKS, ids=CHECK_IDS)
+def test_d_at_zero_residue_is_pinned_and_cubic(residue_polynomials, order, a_binding):
+    _assert_pinned(residue_polynomials, ("d_at_zero", order, a_binding))
+
+
+def test_d_at_zero_vanishes_only_at_the_shipped_one(residue_polynomials, monkeypatch):
+    assert FAMILIES["d_at_zero"][2] == 1
+    # the common factor is c - 1: c = 1 is the one common root
+    assert _common_factor(residue_polynomials, "d_at_zero") == [-1, 1]
+    # c = 0 passes order 1, and order 2 rules it out
+    assert _residue(monkeypatch, "d_at_zero", Fraction(0), 1, None) == ZERO
+    assert (_residue(monkeypatch, "d_at_zero", Fraction(0), 2, None)
+            == Fraction(-1, 16) * G2 * wpow(-1))
 
 
 @pytest.mark.parametrize("order, a_binding", CHECKS, ids=CHECK_IDS)
