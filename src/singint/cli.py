@@ -117,11 +117,13 @@ def _cmd_diagrams(args) -> int:
 
 # a decimal literal with an exponent; group 1 holds the exponent's digits
 _EXPONENT = re.compile(r"\s*[-+]?[\d_.]+[eE][-+]?([\d_]+)\s*\Z")
+_DIGIT_RUN = re.compile(r"\d[\d_]*")
 
 
 def _fraction_arg(text: str) -> Fraction:
     # Fraction builds 10**exponent in full, so a huge exponent would hang
-    # before the digit limit of int-to-str conversion could refuse it
+    # before the digit limit of int-to-str conversion could refuse it; a
+    # digit run past the limit is refused here, so the error does not echo it
     limit = _max_str_digits()
     exponent = _EXPONENT.match(text)
     if limit and exponent:
@@ -129,6 +131,8 @@ def _fraction_arg(text: str) -> Fraction:
         if len(digits) > len(str(limit)) or int(digits or 0) > limit:
             raise argparse.ArgumentTypeError(
                 f"a decimal exponent past {limit} makes a number of more than {limit} digits")
+    if limit and any(len(run.replace("_", "")) > limit for run in _DIGIT_RUN.findall(text)):
+        raise argparse.ArgumentTypeError(f"a number of more than {limit} digits")
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:

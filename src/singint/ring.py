@@ -258,10 +258,11 @@ class ValuePoly:
         """Substitute exact rationals for some symbols; w must be positive.
 
         Symbols are bound one at a time, on the stored pairs, and
-        `_power_sum` adds up the terms each binding merges.  It groups their
-        powers by the heights of the input coefficients alone, so a sum sure
-        to pass the int-to-str digit limit raises the printer's error before
-        any power past the input's own reach is built.  The bound holds
+        `_power_sum` adds up the terms each binding merges.  It splits their
+        sorted powers only at gaps wider than the digit limit and the input
+        coefficients' summed height can bridge, so a sum sure to pass the
+        int-to-str digit limit raises the printer's error before any power
+        past the input's own reach is built.  The bound holds
         after each binding: w^k a^k at w = 2, a = 1/2 raises for a k whose
         2^k is too long to print, though the whole product is 1.  A term
         that a binding zeroes is dropped at once, so no later binding
@@ -349,58 +350,41 @@ def _qpow(x: Pair, k: int) -> Pair:
 def _power_sum(powers: list[tuple[int, Pair]], value: Pair) -> Pair:
     """Exact sum of coef * value**k over (k, coef) pairs with distinct k.
 
-    One pass stacks the sorted powers in groups: a group merges into the
-    one below while their gap is within 2 (4 * limit + H_below + H_above)
-    + 2 bits, at bitlength(max(|p|, q)) - 1 bits per power of value = p/q,
-    where H sums the heights of a group's input coefficients.  No built sum
-    steers the pass, and each group is summed from its lowest power, so n
-    terms of summed height H build no power past (n - 1)(8 * limit + 2 H
-    + 2) such bits.  Two surviving groups lie further apart: at the primes
-    of q the higher outweighs the lower, at those of p the lower the
-    higher, and where p or q is 1 their sizes part, each by more than the
-    H_below + H_above bits their coefficients can cancel.  So the sum keeps
-    over half the gap less those heights, more than 4 * limit bits,
+    One scan over the sorted powers starts a new group wherever two
+    neighbouring powers lie more than 2 (4 * limit + H) + 2 bits apart, at
+    bitlength(max(|p|, q)) - 1 bits per power of value = p/q, where H sums
+    the heights of all the input coefficients.  A limit of 0 never splits,
+    nor does a value of 0 or +-1, at 0 bits a power.  Each group is
+    summed from its lowest power, so n terms build no power past
+    (n - 1)(8 * limit + 2 H + 2) such bits.  Two surviving groups lie
+    further apart: at the primes of q the higher outweighs the lower, at
+    those of p the lower the higher, and where p or q is 1 their sizes
+    part, each by more than the H bits their coefficients can cancel.  So
+    the sum keeps over half the gap less H, more than 4 * limit bits,
     upstairs or downstairs, and raises the printer's error.  A zero group
     between survivors only widens their gap; a lone survivor is bounded as
     one term.
     """
-    if len(powers) == 1:
-        ((k, coef),) = powers
-        if not k:
-            return coef
-        if _max_str_digits() and _passes_digit_limit(coef, k, value):
-            raise _digit_limit_error()
-        return _qmul(coef, _qpow(value, k))
+    if len(powers) == 1 and not powers[0][0]:
+        return powers[0][1]  # value**0, as for most terms an order check binds
     limit = _max_str_digits()
-    if not limit or (value[1] == 1 and -1 <= value[0] <= 1):
-        return _sum_powers(powers, value)  # no power here grows
-    powers = sorted(powers)
     bits = max(abs(value[0]), value[1]).bit_length() - 1
-    stack: list[tuple[int, int]] = []  # (index of a group's lowest power, its input height)
-    for i, (_, coef) in enumerate(powers):
-        start, height = i, _height(coef)
-        while stack and ((powers[start][0] - powers[start - 1][0]) * bits
-                         <= 2 * (4 * limit + stack[-1][1] + height) + 2):
-            start, below = stack.pop()
-            height += below
-        stack.append((start, height))
-    bounds = [start for start, _ in stack] + [len(powers)]
-    survivors = [(total, powers[a][0]) for a, b in zip(bounds, bounds[1:])
-                 if (total := _sum_powers(powers[a:b], value, powers[a][0]))[0]]
+    gap = 2 * (4 * limit + sum(_height(coef) for _, coef in powers)) + 2
+    groups: list[tuple[Pair, int]] = []  # (sum of coef * value**(k - low), low)
+    for k, coef in sorted(powers):
+        if not groups or limit and (k - last) * bits > gap:
+            groups.append((coef, k))
+        else:
+            total, low = groups[-1]
+            groups[-1] = _qadd(total, _qmul(coef, _qpow(value, k - low))), low
+        last = k
+    survivors = [group for group in groups if group[0][0]]
     if not survivors:
         return 0, 1
     (total, low), *others = survivors
-    if others or _passes_digit_limit(total, low, value):
+    if others or limit and _passes_digit_limit(total, low, value):
         raise _digit_limit_error()
     return _qmul(total, _qpow(value, low))
-
-
-def _sum_powers(powers: Iterable[tuple[int, Pair]], value: Pair, low: int = 0) -> Pair:
-    """coef * value**(k - low) summed over (k, coef) pairs, with no digit bound."""
-    total = (0, 1)
-    for k, coef in powers:
-        total = _qadd(total, _qmul(coef, _qpow(value, k - low)))
-    return total
 
 
 def _height(x: Pair) -> int:

@@ -1,10 +1,22 @@
 """Shared hypothesis strategies and reference helpers for the tests."""
 
+import warnings
 from fractions import Fraction
 
 from hypothesis import strategies as st
 
 from singint import ZERO, IntegrandMonomial, IntegrandSum, ValuePoly, mono
+
+# Hypothesis imports this module to report a failing example; its libcst import
+# raises a DeprecationWarning, which under -W error ends the run with an
+# INTERNALERROR and no example.  Importing it here first, with that warning
+# ignored, keeps the report.
+with warnings.catch_warnings():
+    warnings.simplefilter("ignore", DeprecationWarning)
+    try:
+        import hypothesis.extra._patching  # noqa: F401
+    except ImportError:
+        pass
 
 
 def rationals(max_num: int = 30, max_den: int = 12) -> st.SearchStrategy[Fraction]:

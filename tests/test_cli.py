@@ -216,15 +216,19 @@ def _singint(*argv):
 def test_huge_decimal_exponent_is_refused_before_it_is_built():
     # Fraction builds 10**exponent in full: 1e10000000 alone takes seconds.
     # An exponent past the digit limit is refused by argparse, so exit 2;
-    # --omega 1e5000 evaluated to 1 before, and is refused now
-    for argv in (["verify", "--order", "1", "--a", "1e100000000"],
-                 ["diagrams", "--order", "2", "--a=-2.5E-100000000"],
-                 ["reduce", "delta", "--omega", "1e5000"]):
+    # --omega 1e5000 evaluated to 1 before, and is refused now.  A run of
+    # digits past the limit is refused too, without echoing its digits
+    exponent = "decimal exponent past"
+    for argv, refusal in ((["verify", "--order", "1", "--a", "1e100000000"], exponent),
+                          (["diagrams", "--order", "2", "--a=-2.5E-100000000"], exponent),
+                          (["reduce", "delta", "--omega", "1e5000"], exponent),
+                          (["reduce", "delta", "--omega", "7" * 5000], "more than 4300 digits")):
         done = _singint(*argv)
         assert done.returncode == 2
         assert done.stdout == ""
-        assert "decimal exponent past" in done.stderr
+        assert refusal in done.stderr
         assert "Traceback" not in done.stderr
+        assert "7" * 100 not in done.stderr
 
 
 def test_far_powers_give_the_digit_error_without_building_them():

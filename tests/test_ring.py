@@ -230,6 +230,20 @@ def test_substitute_sums_far_apart_powers_without_building_them():
         (ONE + w(1, w=far)).substitute({"w": 3})
 
 
+def test_substitute_without_a_digit_limit_builds_every_power():
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        assert (ONE + ValuePoly.monomial(1, w=20000)).substitute({"w": 3}) == 1 + 3 ** 20000
+        far = ValuePoly.monomial(Fraction(5, 7), w=-20000)
+        assert far.substitute({"w": Fraction(3, 2)}) == Fraction(5, 7) * Fraction(2, 3) ** 20000
+    finally:
+        sys.set_int_max_str_digits(limit)
+    # under the default limit the same far term raises
+    with pytest.raises(ValueError, match="more than .* digits"):
+        far.substitute({"w": Fraction(3, 2)})
+
+
 @given(st.lists(st.tuples(st.sampled_from([-6000, 0, 5125, 6000]), st.integers(-2, 2),
                           rationals(max_num=9, max_den=4)), min_size=1, max_size=5),
        rationals(max_num=9, max_den=7).filter(lambda r: r > 0))

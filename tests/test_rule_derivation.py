@@ -1,18 +1,22 @@
-"""Coordinate independence picks the equal-time constants, one family at a time.
+"""Coordinate independence picks the equal-time constants and the rule weights,
+one family at a time.
 
 The order checks must leave a zero residue.  With one equal-time constant
-of `integrand` patched to a family of values along a rational parameter c,
-every residue is a polynomial in c with coefficients in the ring.  Four
-probes fix a polynomial of degree 3 by exact Lagrange interpolation over
-Fractions, and a fifth probe checks each interpolant, so a term of higher
-degree in c would show.  The pinned polynomials then show that the shipped
-value is the only rational c that passes the checks.  Four families are
-pinned, each at order 1, at order 2 and at order 2 with a = 1/2:
+of `integrand`, or one weight of a `reducer` rule, patched to a family of
+values along a rational parameter c, every residue is a polynomial in c
+with coefficients in the ring.  Four probes fix a polynomial of degree 3 by
+exact Lagrange interpolation over Fractions, and a fifth probe checks each
+interpolant, so a term of higher degree in c would show.  The pinned
+polynomials then show that the shipped value is the only rational c that
+passes the checks.  Six families are pinned, each at order 1, at order 2
+and at order 2 with a = 1/2:
 
     D(0)   = c w^-1 / 2    shipped c = 1   (cubic in c)
     dD(0)  = c             shipped c = 0
     ddD(0) = w/2 - c d0    shipped c = 1   (the weight of the contact part)
     ddD(0) = c w/2 - d0    shipped c = 1   (the weight of the smooth part)
+    delta^2 -> c f(0) d0   shipped c = 1   (the weight of the delta^2 rule)
+    ibp contact term * c   shipped c = 1   (the weight of the ibp delta term)
 
 For dD(0), c = 0 is a double root, and every residue is even in c: the
 checks cannot tell dD(0) = c from dD(0) = -c.  That is the sign blind spot
@@ -25,14 +29,19 @@ Every residue of the contact-weight family carries d0, so the Veltman
 convention, d0 = 0, hides that family whole.  In the smooth-weight family
 the a = 1/2 check alone also passes at c = -1; the order-1 check and the
 plain order-2 check rule that value out.
+
+Order 1 cannot see either rule weight.  The delta^2 residue carries d0,
+so the Veltman convention hides it too; the ibp residue does not, and the
+identity rows fail with it.
 """
 
 from fractions import Fraction
 
 import pytest
 
-from singint import A, D0, G, ZERO, ValuePoly, order_check, wpow
-from singint import integrand
+from singint import (A, D0, G, ZERO, IntegrandSum, ValuePoly, diagram_identities,
+                     identity_suite, mono, order_check, wpow)
+from singint import integrand, reducer
 
 PROBES = (Fraction(-1), Fraction(1, 2), Fraction(1), Fraction(2))
 CHECK_PROBE = Fraction(3)
@@ -44,12 +53,27 @@ CHECK_IDS = ["order_1", "order_2", "order_2_a_half"]
 HALF_W = ValuePoly.monomial(Fraction(1, 2), w=1)
 HALF_W_INVERSE = ValuePoly.monomial(Fraction(1, 2), w=-1)
 
-# family -> (the patched constant, its value at c, the shipped c)
+SHIPPED_IBP_STEP = reducer.ibp_step
+
+
+def _ibp_contact_weight(c):
+    """`reducer.ibp_step` with its single-delta contact term scaled by c."""
+    def ibp_step(t):
+        return IntegrandSum([mono(u.m, u.n, u.p, u.q, u.coeff * c) if u.q == 1 else u
+                             for u in SHIPPED_IBP_STEP(t)])
+    return ibp_step
+
+
+# family -> (the patched module and name, its value at c, the shipped c)
 FAMILIES = {
-    "d_at_zero": ("D_AT_ZERO", lambda c: c * HALF_W_INVERSE, Fraction(1)),
-    "dd_at_zero": ("DDOT_AT_ZERO", ValuePoly.rational, Fraction(0)),
-    "ddd_contact_weight": ("DDDOT_AT_ZERO", lambda c: HALF_W - c * D0, Fraction(1)),
-    "ddd_smooth_weight": ("DDDOT_AT_ZERO", lambda c: c * HALF_W - D0, Fraction(1)),
+    "d_at_zero": (integrand, "D_AT_ZERO", lambda c: c * HALF_W_INVERSE, Fraction(1)),
+    "dd_at_zero": (integrand, "DDOT_AT_ZERO", ValuePoly.rational, Fraction(0)),
+    "ddd_contact_weight": (integrand, "DDDOT_AT_ZERO", lambda c: HALF_W - c * D0,
+                           Fraction(1)),
+    "ddd_smooth_weight": (integrand, "DDDOT_AT_ZERO", lambda c: c * HALF_W - D0,
+                          Fraction(1)),
+    "delta_squared_weight": (reducer, "D0", lambda c: c * D0, Fraction(1)),
+    "ibp_contact_weight": (reducer, "ibp_step", _ibp_contact_weight, Fraction(1)),
 }
 
 
@@ -107,12 +131,22 @@ PINNED = {
     # (1-c)(1+c)/16 g^2 w^-1
     ("ddd_smooth_weight", 2, Fraction(1, 2)): _times(ONE_MINUS_C_ONE_PLUS_C,
                                                      Fraction(1, 16) * G2 * wpow(-1)),
+    # order 1 is blind; 3/4 (1-c) g^2 d0 w^-2, plain and at a = 1/2
+    ("delta_squared_weight", 1, None): _times([], ZERO),
+    ("delta_squared_weight", 2, None): _times(ONE_MINUS_C, Fraction(3, 4) * G2 * D0 * wpow(-2)),
+    ("delta_squared_weight", 2, Fraction(1, 2)): _times(ONE_MINUS_C,
+                                                        Fraction(3, 4) * G2 * D0 * wpow(-2)),
+    # order 1 is blind; 2/3 (1-c) g^2 w^-1, plain and at a = 1/2
+    ("ibp_contact_weight", 1, None): _times([], ZERO),
+    ("ibp_contact_weight", 2, None): _times(ONE_MINUS_C, Fraction(2, 3) * G2 * wpow(-1)),
+    ("ibp_contact_weight", 2, Fraction(1, 2)): _times(ONE_MINUS_C,
+                                                      Fraction(2, 3) * G2 * wpow(-1)),
 }
 
 
 def _residue(monkeypatch, family, c, order, a_binding, veltman=False):
-    name, value, _ = FAMILIES[family]
-    monkeypatch.setattr(integrand, name, value(c))
+    module, name, value, _ = FAMILIES[family]
+    monkeypatch.setattr(module, name, value(c))
     return order_check(order, a_binding=a_binding, veltman=veltman).actual
 
 
@@ -228,7 +262,7 @@ def test_d_at_zero_residue_is_pinned_and_cubic(residue_polynomials, order, a_bin
 
 
 def test_d_at_zero_vanishes_only_at_the_shipped_one(residue_polynomials, monkeypatch):
-    assert FAMILIES["d_at_zero"][2] == 1
+    assert FAMILIES["d_at_zero"][3] == 1
     # the common factor is c - 1: c = 1 is the one common root
     assert _common_factor(residue_polynomials, "d_at_zero") == [-1, 1]
     # c = 0 passes order 1, and order 2 rules it out
@@ -245,7 +279,7 @@ def test_ddd_at_zero_residue_is_pinned(residue_polynomials, family, order, a_bin
 
 @pytest.mark.parametrize("family", ["ddd_contact_weight", "ddd_smooth_weight"])
 def test_ddd_at_zero_vanishes_only_at_the_shipped_one(residue_polynomials, family):
-    assert FAMILIES[family][2] == 1
+    assert FAMILIES[family][3] == 1
     # the common factor is c - 1: c = 1 is the one common root
     assert _common_factor(residue_polynomials, family) == [-1, 1]
 
@@ -267,3 +301,42 @@ def test_a_half_alone_passes_the_smooth_weight_at_minus_one(residue_polynomials)
     # the order-1 and the plain order-2 checks rule c = -1 out
     assert at[1, None][Fraction(-1)] == Fraction(-1, 2) * G
     assert at[2, None][Fraction(-1)] != ZERO
+
+
+@pytest.mark.parametrize("order, a_binding", CHECKS, ids=CHECK_IDS)
+@pytest.mark.parametrize("family", ["delta_squared_weight", "ibp_contact_weight"])
+def test_rule_weight_residue_is_pinned(residue_polynomials, family, order, a_binding):
+    _assert_pinned(residue_polynomials, (family, order, a_binding))
+
+
+@pytest.mark.parametrize("family", ["delta_squared_weight", "ibp_contact_weight"])
+def test_rule_weight_vanishes_only_at_the_shipped_one(residue_polynomials, family):
+    assert FAMILIES[family][3] == 1
+    # order 1 is blind, and order 2 leaves c - 1: c = 1 is the one common root
+    for order, a_binding in CHECKS:
+        _, at = residue_polynomials[family, order, a_binding]
+        assert (order == 1) == all(residue == ZERO for residue in at.values())
+    assert _common_factor(residue_polynomials, family) == [-1, 1]
+
+
+def test_veltman_hides_the_delta_squared_weight(monkeypatch):
+    for c in PROBES + (CHECK_PROBE,):
+        for order, a_binding in CHECKS:
+            assert _residue(monkeypatch, "delta_squared_weight", c, order, a_binding,
+                            veltman=True) == ZERO
+
+
+def test_veltman_keeps_the_ibp_contact_weight(monkeypatch):
+    for c in PROBES + (CHECK_PROBE,):
+        assert _residue(monkeypatch, "ibp_contact_weight", c, 1, None, veltman=True) == ZERO
+        for a_binding in (None, Fraction(1, 2)):
+            assert (_residue(monkeypatch, "ibp_contact_weight", c, 2, a_binding, veltman=True)
+                    == Fraction(2, 3) * (1 - c) * G2 * wpow(-1))
+
+
+def test_ibp_contact_weight_fails_identity_rows(monkeypatch):
+    for c in PROBES:
+        monkeypatch.setattr(reducer, "ibp_step", _ibp_contact_weight(c))
+        failed = (sum(not row.passed for row in identity_suite()),
+                  sum(not row.passed for row in diagram_identities()))
+        assert failed == ((0, 0) if c == 1 else (5, 4))
