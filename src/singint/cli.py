@@ -174,7 +174,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_diag.add_argument("--a", type=_fraction_arg, default=None, metavar="P/Q",
                         help="bind the quintic map parameter")
     p_diag.add_argument("--veltman", action="store_true",
-                        help="set d0 := 0 before reduction")
+                        help="bind d0 := 0 in the printed columns")
     p_diag.add_argument("--json", action="store_true")
     p_diag.set_defaults(func=_cmd_diagrams)
 

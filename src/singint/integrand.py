@@ -21,6 +21,12 @@ term and the diagram generator's same-vertex pairs all read through it,
 so an IntegrandSum always describes genuinely nonlocal content plus exact
 ring coefficients, and it is canonical on construction: no caller normalizes.
 
+The vacuum-diagram cancellation fixes ddD(0) - w^2 D(0) = -d0, the field
+equation at the origin, and not D(0) itself: scaling D(0) and the smooth
+part of ddD(0) together leaves every order check passing.  D(0) = w^-1 / 2
+is the propagator's value at the origin, and the quadrature oracle checks
+its agreement with the Lebesgue integral.
+
 `parse` reads and `render_sum` writes the integrand expression language,
 e.g. "dD^2 + w^2 D^2" or "-3/32 w^-1 dD^4": whitespace separates atoms, a
 '*' may join two atoms of one term (never start one), '+'/'-' joins terms.

@@ -151,10 +151,10 @@ def order_check(order: int, a_binding: RationalLike | None = None,
     With no bindings the result must vanish identically in w, d0 and a.
     `a_binding` substitutes the map parameter; `veltman` sets d0 := 0.
     The total takes every class of `diagram_classes(order)` down the same
-    path as the family sums of `diagram_identities`.  Bindings are applied
-    before reduction, so they change which diagram classes survive, and
-    again to the reduced value: the delta^2 rule emits a fresh d0 factor,
-    and a bound symbol has to stay bound through it.
+    path as the family sums of `diagram_identities`.  Bindings never change
+    the classes: they bind the folded local part and the nonlocal integrand
+    before reduction, and again the reduced value, since the delta^2 rule
+    emits a fresh d0 factor and a bound symbol has to stay bound through it.
     """
     bindings = symbol_bindings(a_binding, veltman)
     label = f"order-{order} total" + "".join(

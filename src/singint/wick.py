@@ -35,12 +35,20 @@ the
     a1! b1! a2! b2! / (X! Y! Z! U!)
 
 bijections of the a dotted and b plain legs left free at each vertex.
-Each call builds every vertex's splits once, each split with its kind
-counts and its labelled self pairs, and `_class_counts` keys its counts by
-both, so the equal-time factor is looked up by kind counts that nothing
-counts again.  Factorials come from a table.  The call reads
-`action_vertices`, `PINNED_DERIVATIVE_SIGN`, `CUMULANT_PREFACTOR` and
-`_equal_time` when it runs, so a patched module constant takes effect.
+
+Those counts depend only on the vertex labels and legs, on which vertices
+are Jacobian vertices and on PINNED_DERIVATIVE_SIGN, so they are derived
+once per vertex set: `_skeleton`, memoized on exactly those inputs, splits
+each vertex (`_splits`), counts each vertex and pinned pair
+(`_class_counts`), merges and sorts the classes, and records for each its
+multiplicity, self-pair kind counts, family and which weight it takes.
+It holds no ring value.  Each `diagram_classes` call then adds the ring
+values: it reads `action_vertices`, `CUMULANT_PREFACTOR` and `_equal_time`
+when it runs, builds each vertex-pair weight once per unordered pair and
+each equal-time factor once per kind count, and returns new classes.  So
+a patched coupling, prefactor or equal-time constant takes effect at once,
+and a patched vertex set or sign selects another skeleton.  Factorials
+come from a table.
 
 `enumerate_contractions` is the reference those counts are tested against.
 It produces every raw perfect matching of the vertex legs, nothing skipped,
@@ -73,6 +81,7 @@ from __future__ import annotations
 
 import gc
 from fractions import Fraction
+from functools import cache
 from math import factorial
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
@@ -332,7 +341,7 @@ def _self_pairs(label: str, kinds: tuple[int, int, int]) -> tuple[tuple[str, str
     return pairs
 
 
-def _splits(vertex: Vertex) -> tuple[str, list[tuple]]:
+def _splits(label: str, legs: tuple[str, ...]) -> tuple[str, list[tuple]]:
     """The vertex label and its legs' self-pair splits, (kinds, self pairs, a, b, ways):
     the form in which `_class_counts` reads a vertex.
 
@@ -341,7 +350,6 @@ def _splits(vertex: Vertex) -> tuple[str, list[tuple]]:
     leave a dotted and b plain legs free, and the k dotted and l plain legs
     can be paired so in k! l! / (2^(x+u) x! u! y! a! b!) ways.
     """
-    label, legs = vertex.label, vertex.legs
     f = _FACTORIALS
     k = legs.count(QDOT)
     l = len(legs) - k
@@ -356,11 +364,11 @@ def _splits(vertex: Vertex) -> tuple[str, list[tuple]]:
     return label, out
 
 
-def _class_counts(first: tuple[str, list[tuple]], second: tuple[str, list[tuple]] | None = None
-                  ) -> dict[tuple, int]:
+def _class_counts(first: tuple[str, list[tuple]], second: tuple[str, list[tuple]] | None = None,
+                  *, sign: int) -> dict[tuple, int]:
     """(kinds, self pairs, shape, sign) -> matchings over the connected
     contractions of one vertex or a pinned pair: `enumerate_contractions`
-    grouped, counted.
+    grouped, counted, with `sign` as the pinned-derivative sign.
 
     Each vertex comes as its `_splits`.  `kinds` counts the self pairs of
     both vertices by kind and follows from the self pairs; it rides in the
@@ -371,7 +379,6 @@ def _class_counts(first: tuple[str, list[tuple]], second: tuple[str, list[tuple]
         return {(kinds, selfs, (0, 0, 0, 0), 1): ways
                 for kinds, selfs, a, b, ways in splits1 if not a and not b}
     label2, splits2 = second
-    sign = PINNED_DERIVATIVE_SIGN
     f = _FACTORIALS
     counts: dict[tuple, int] = {}
     for (u1, y1, x1), selfs1, a1, b1, ways1 in splits1:
@@ -396,42 +403,73 @@ def _class_counts(first: tuple[str, list[tuple]], second: tuple[str, list[tuple]
     return counts
 
 
+@cache
+def _skeleton(singles: tuple[tuple[str, tuple[str, ...]], ...],
+              pairs: tuple[tuple[str, tuple[str, ...], bool], ...],
+              sign: int) -> tuple[tuple, ...]:
+    """The ring-free part of `diagram_classes`, sorted as its classes are.
+
+    `singles` holds the (label, legs) of each vertex whose first cumulant is
+    taken, `pairs` the (label, legs, jacobian) of each vertex paired in the
+    second cumulant (none at order 1), and `sign` is the pinned-derivative
+    sign.  Each entry is (vertices, self pairs, shape, sign, matchings,
+    kinds, family, slots): `kinds` counts the self pairs by kind, and
+    `slots` names the weight of one matching, (i,) for the coupling of
+    `singles[i]` and (i, j), i <= j, for the cumulant prefactor times the
+    couplings of `pairs[i]` and `pairs[j]`.  Classes of both orderings of a
+    vertex pair merge, so one slot serves both.  The entries hold ints,
+    strings and tuples only, so one result serves every caller.
+    """
+    # key -> [matchings, kinds, family, slots]; the first contribution to a
+    # key sets its kinds, family and slots, and later ones add matchings
+    groups: dict = {}
+
+    def add(vertices: tuple[str, ...], counts: dict[tuple, int], slots: tuple[int, ...],
+            family: str | None) -> None:
+        for (kinds, selfs, shape, line_sign), count in counts.items():
+            key = (vertices, selfs, shape, line_sign)
+            entry = groups.get(key)
+            if entry is not None:
+                entry[0] += count
+            else:
+                groups[key] = [count, kinds, family or ("bubble" if selfs else "watermelon"),
+                               slots]
+
+    for i, (label, legs) in enumerate(singles):
+        add((label,), _class_counts(_splits(label, legs), sign=sign), (i,), "local")
+    split = [_splits(label, legs) for label, legs, _ in pairs]
+    for i, (label1, _, jacobian1) in enumerate(pairs):
+        for j, (label2, _, jacobian2) in enumerate(pairs):
+            add(tuple(sorted((label1, label2))), _class_counts(split[i], split[j], sign=sign),
+                (min(i, j), max(i, j)), "jacobian_bubble" if jacobian1 or jacobian2 else None)
+    return tuple((*key, *entry) for key, entry in sorted(
+        groups.items(), key=lambda kv: (kv[0][0], kv[0][2], kv[0][1], kv[0][3])))
+
+
 def diagram_classes(order: int) -> list[DiagramClass]:
     """All connected diagram classes contributing at g^order, vanishing included."""
     if order not in (1, 2):
         raise ValueError("diagrams are generated to second order only")
-    # the equal-time factor of each distinct self-pair kind count, once per call
+    singles = action_vertices(order)
+    pairs = action_vertices(1) if order == 2 else []
+    skeleton = _skeleton(tuple((v.label, v.legs) for v in singles),
+                         tuple((v.label, v.legs, v.jacobian) for v in pairs),
+                         PINNED_DERIVATIVE_SIGN)
+    # the weight of one matching per slot, and the equal-time factor of each
+    # distinct self-pair kind count, once per call
+    weights: dict[tuple[int, ...], ValuePoly] = {(i,): v.coupling for i, v in enumerate(singles)}
+    for i, v1 in enumerate(pairs):
+        for j in range(i, len(pairs)):
+            weights[i, j] = CUMULANT_PREFACTOR * v1.coupling * pairs[j].coupling
     locals_: dict[tuple[int, int, int], ValuePoly] = {}
-    # key -> [matchings, weight of one matching, equal-time value, family]
-    groups: dict = {}
-
-    def add(vertices: tuple[str, ...], counts: dict[tuple, int], weight: ValuePoly,
-            family: str | None) -> None:
-        for (kinds, selfs, shape, sign), count in counts.items():
-            key = (vertices, selfs, shape, sign)
-            entry = groups.get(key)
-            if entry is not None:
-                entry[0] += count
-                continue
-            local = locals_.get(kinds)
-            if local is None:
-                local = locals_[kinds] = _equal_time(kinds)
-            groups[key] = [count, weight, local,
-                           family or ("bubble" if selfs else "watermelon")]
-
-    for v in action_vertices(order):
-        add((v.label,), _class_counts(_splits(v)), v.coupling, "local")
-    if order == 2:
-        first = [(v, _splits(v)) for v in action_vertices(1)]
-        for v1, split1 in first:
-            for v2, split2 in first:
-                add(tuple(sorted((v1.label, v2.label))), _class_counts(split1, split2),
-                    CUMULANT_PREFACTOR * v1.coupling * v2.coupling,
-                    "jacobian_bubble" if v1.jacobian or v2.jacobian else None)
-    return [DiagramClass(order, family, vertices, selfs, shape, sign, count,
-                         weight * count, local)
-            for (vertices, selfs, shape, sign), (count, weight, local, family) in sorted(
-                groups.items(), key=lambda kv: (kv[0][0], kv[0][2], kv[0][1], kv[0][3]))]
+    out = []
+    for vertices, selfs, shape, sign, count, kinds, family, slots in skeleton:
+        local = locals_.get(kinds)
+        if local is None:
+            local = locals_[kinds] = _equal_time(kinds)
+        out.append(DiagramClass(order, family, vertices, selfs, shape, sign, count,
+                                weights[slots] * count, local))
+    return out
 
 
 def order_contribution(classes: Iterable[DiagramClass]

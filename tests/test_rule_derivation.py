@@ -1,5 +1,5 @@
-"""Coordinate independence picks the equal-time constants and the rule weights,
-one family at a time.
+"""Coordinate independence pins the rule weights and each equal-time constant
+taken one family at a time; jointly it fixes ddD(0) - w^2 D(0), not D(0).
 
 The order checks must leave a zero residue.  With one equal-time constant
 of `integrand`, or one weight of a `reducer` rule, patched to a family of
@@ -33,6 +33,17 @@ plain order-2 check rule that value out.
 Order 1 cannot see either rule weight.  The delta^2 residue carries d0,
 so the Veltman convention hides it too; the ibp residue does not, and the
 identity rows fail with it.
+
+Patched together, the two constants leave a line free.  With
+
+    D(0) = nu w^-1 / 2        ddD(0) = mu w/2 - d0
+
+every residue carries mu - nu, so on mu = nu, where ddD(0) - w^2 D(0) = -d0
+is the field equation at the origin, every order check passes, at every
+binding of a and of d0.  What holds D(0) at w^-1 / 2 is the propagator, and
+its agreement with the Lebesgue integral, which the quadrature oracle of
+acceptance criterion 8 checks; off the shipped point the reduced D dD^2
+departs from the oracle.
 """
 
 from fractions import Fraction
@@ -40,7 +51,8 @@ from fractions import Fraction
 import pytest
 
 from singint import (A, D0, G, ZERO, IntegrandSum, ValuePoly, diagram_identities,
-                     identity_suite, mono, order_check, wpow)
+                     identity_suite, integrand_sum, mono, order_check, quadrature_oracle,
+                     reduce, wpow)
 from singint import integrand, reducer
 
 PROBES = (Fraction(-1), Fraction(1, 2), Fraction(1), Fraction(2))
@@ -340,3 +352,46 @@ def test_ibp_contact_weight_fails_identity_rows(monkeypatch):
         failed = (sum(not row.passed for row in identity_suite()),
                   sum(not row.passed for row in diagram_identities()))
         assert failed == ((0, 0) if c == 1 else (5, 4))
+
+
+# -- the one curve the order checks leave free --------------------------------
+
+CURVE = (Fraction(0), Fraction(5, 3), Fraction(2), Fraction(-7, 2))
+
+
+def _on_curve(monkeypatch, nu, mu):
+    """D(0) = nu w^-1 / 2 and ddD(0) = mu w/2 - d0."""
+    monkeypatch.setattr(integrand, "D_AT_ZERO", nu * HALF_W_INVERSE)
+    monkeypatch.setattr(integrand, "DDDOT_AT_ZERO", mu * HALF_W - D0)
+
+
+@pytest.mark.parametrize("nu", CURVE, ids=str)
+def test_the_field_equation_line_passes_every_order_check(monkeypatch, nu):
+    _on_curve(monkeypatch, nu, nu)
+    for order in (1, 2):
+        for a_binding in (None, Fraction(1, 2), Fraction(-3, 5)):
+            for veltman in (False, True):
+                check = order_check(order, a_binding=a_binding, veltman=veltman)
+                assert check.passed, check.name
+
+
+@pytest.mark.parametrize("nu", CURVE, ids=str)
+def test_off_the_line_every_residue_carries_mu_minus_nu(monkeypatch, nu):
+    mu = nu + 1
+    _on_curve(monkeypatch, nu, mu)
+    gap = mu - nu
+    assert order_check(1).actual == nu * gap / 4 * G
+    assert order_check(2).actual == (-gap * (mu - nu * nu - nu) / 16 * G2 * wpow(-1)
+                                     - 3 * nu * nu * gap / 8 * G2 * A * wpow(-1))
+    assert (order_check(2, a_binding=Fraction(1, 2)).actual
+            == -gap * (mu + 2 * nu * nu - nu) / 16 * G2 * wpow(-1))
+
+
+def test_the_oracle_not_the_cancellation_holds_d_at_zero(monkeypatch):
+    d_dd_squared = integrand_sum(mono(1, 2))
+    for omega in (0.5, 1.0, 2.0):
+        assert abs(quadrature_oracle(1, 2, omega) - 1 / (12 * omega ** 2)) < 1e-10
+    assert reduce(d_dd_squared)[0] == Fraction(1, 12) * wpow(-2)
+    _on_curve(monkeypatch, Fraction(2), Fraction(2))
+    assert order_check(2).passed
+    assert reduce(d_dd_squared)[0] == Fraction(11, 24) * wpow(-2)

@@ -255,8 +255,7 @@ MUTANTS = {
 }
 
 
-@pytest.mark.parametrize("mutant", MUTANTS, ids=lambda mutant: mutant.__name__.lstrip("_"))
-def test_mutant_leaves_its_pinned_residues(monkeypatch, mutant):
+def _assert_pinned_residues(monkeypatch, mutant):
     residues, failing_diagrams, failing_identities = MUTANTS[mutant]
     mutant(monkeypatch)
     checks = [order_check(1), order_check(2), order_check(2, a_binding=Fraction(1, 2)),
@@ -265,6 +264,22 @@ def test_mutant_leaves_its_pinned_residues(monkeypatch, mutant):
     assert [check.passed for check in checks] == [residue == "0" for residue in residues]
     assert {c.name for c in diagram_identities() if not c.passed} == failing_diagrams
     assert {c.name for c in identity_suite() if not c.passed} == failing_identities
+
+
+@pytest.mark.parametrize("mutant", MUTANTS, ids=lambda mutant: mutant.__name__.lstrip("_"))
+def test_mutant_leaves_its_pinned_residues(monkeypatch, mutant):
+    # cold: no class skeleton is memoized when the mutant is applied
+    wick._skeleton.cache_clear()
+    _assert_pinned_residues(monkeypatch, mutant)
+
+
+@pytest.mark.parametrize("mutant", MUTANTS, ids=lambda mutant: mutant.__name__.lstrip("_"))
+def test_mutant_takes_effect_after_the_skeleton_is_warm(monkeypatch, mutant):
+    # no state kept across calls may freeze a name the mutant patches
+    diagram_classes(1)
+    diagram_classes(2)
+    assert order_check(2).passed
+    _assert_pinned_residues(monkeypatch, mutant)
 
 
 def test_order_check_carries_a_trace_when_nonlocal():

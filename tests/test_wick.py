@@ -305,8 +305,9 @@ def _counted(v1, v2=None):
     """`_class_counts` keyed as `_enumerated_counts`, after checking that each
     key's self-pair kind counts follow from its self pairs."""
     counts = {}
-    splits = [_splits(v) for v in (v1, v2) if v is not None]
-    for (kinds, selfs, shape, sign), count in _class_counts(*splits).items():
+    splits = [_splits(v.label, v.legs) for v in (v1, v2) if v is not None]
+    for (kinds, selfs, shape, sign), count in _class_counts(
+            *splits, sign=wick.PINNED_DERIVATIVE_SIGN).items():
         assert kinds == tuple(sum(name == kind for _, name in selfs)
                               for kind in ("qq", "qdot q", "qdot qdot"))
         counts[selfs, shape, sign] = count
@@ -366,6 +367,29 @@ def test_counted_classes_equal_enumerated_ones():
 def test_diagram_classes_equal_the_enumerated_census():
     for order in (1, 2):
         assert diagram_classes(order) == _enumerated_classes(order)
+
+
+def test_a_patch_after_a_warm_call_takes_effect(monkeypatch):
+    shipped = diagram_classes(2)
+    # the enumerator reads the sign through `enumerate_contractions`
+    monkeypatch.setattr(wick, "PINNED_DERIVATIVE_SIGN", 1)
+    unsigned = diagram_classes(2)
+    assert unsigned == _enumerated_classes(2)
+    assert unsigned != shipped
+    monkeypatch.undo()
+    assert diagram_classes(2) == shipped
+    vertices = wick.action_vertices
+    monkeypatch.setattr(wick, "action_vertices",
+                        lambda order: [v for v in vertices(order) if not v.jacobian])
+    assert diagram_classes(2) == [c for c in shipped
+                                  if not {"jq2", "jq4"} & set(c.vertices)]
+
+
+def test_each_call_returns_new_classes():
+    first = diagram_classes(2)
+    again = diagram_classes(2)
+    assert first == again
+    assert {id(c) for c in first}.isdisjoint(id(c) for c in again)
 
 
 @st.composite
