@@ -28,27 +28,34 @@ it never classifies on its own.  Cross-pair line values:
 enumerates none.  A class is fixed by the self-pair split at each vertex,
 x qdot qdot, y qdot q and u qq pairs, and by its cross-line counts: X
 q.(t) q.(0), Y q.(t) q(0), Z q(t) q.(0) and U q(t) q(0).  Its shape is
-(U, Y + Z, X, 0), its sign PINNED_DERIVATIVE_SIGN^(X + Z), and its
-multiplicity the product of the ways to pick each vertex's self pairs and
-the
+(U, Y + Z, X, 0) and its sign PINNED_DERIVATIVE_SIGN^(X + Z).
+
+One function, `_class_counts`, counts the classes of one vertex or of a
+pinned pair.  A vertex with k dotted and l plain legs splits into its self
+pairs in
+
+    k! l! / (2^(x+u) x! u! y! a! b!)
+
+ways, leaving a dotted and b plain legs free; a single vertex keeps the
+splits that leave none.  In a pair the free legs of the two vertices pair
+off across, with at least one cross line, in
 
     a1! b1! a2! b2! / (X! Y! Z! U!)
 
-bijections of the a dotted and b plain legs left free at each vertex.
+ways, and a class's multiplicity sums the products of these counts.
 
 Those counts depend only on the vertex labels and legs, on which vertices
 are Jacobian vertices and on PINNED_DERIVATIVE_SIGN, so they are derived
-once per vertex set: `_skeleton`, memoized on exactly those inputs, splits
-each vertex (`_splits`), counts each vertex and pinned pair
-(`_class_counts`), merges and sorts the classes, and records for each its
-multiplicity, self-pair kind counts, family and which weight it takes.
-It holds no ring value.  Each `diagram_classes` call then adds the ring
-values: it reads `action_vertices`, `CUMULANT_PREFACTOR` and `_equal_time`
-when it runs, builds each vertex-pair weight once per unordered pair and
-each equal-time factor once per kind count, and returns new classes.  So
-a patched coupling, prefactor or equal-time constant takes effect at once,
-and a patched vertex set or sign selects another skeleton.  Factorials
-come from a table.
+once per vertex set: `_skeleton`, memoized on exactly those inputs, counts
+each vertex and pinned pair with `_class_counts`, merges and sorts the
+classes, and records for each its multiplicity, self-pair kind counts,
+family and which weight it takes.  It holds no ring value.  Each
+`diagram_classes` call then adds the ring values: it reads
+`action_vertices`, `CUMULANT_PREFACTOR` and `_equal_time` when it runs,
+builds each vertex-pair weight once per unordered pair and each equal-time
+factor once per kind count, and returns new classes.  So a patched
+coupling, prefactor or equal-time constant takes effect at once, and a
+patched vertex set or sign selects another skeleton.
 
 `enumerate_contractions` is the reference those counts are tested against.
 It produces every raw perfect matching of the vertex legs, nothing skipped,
@@ -328,78 +335,54 @@ class DiagramClass(NamedTuple):
         return self.local_value.is_zero or self.coefficient.is_zero
 
 
-# n! for n up to 12: `_splits` and `_class_counts` take factorials of leg counts
-# of one vertex, and the largest has 6 legs
-_FACTORIALS = tuple(factorial(n) for n in range(13))
+def _class_counts(vertices: Sequence[tuple[str, tuple[str, ...]]],
+                  sign: int) -> dict[tuple, int]:
+    """(self pairs, shape, sign) -> matchings over the connected contractions
+    of one (label, legs) vertex or a pinned pair of them:
+    `enumerate_contractions` grouped and counted, with `sign` as the
+    pinned-derivative sign.
 
-
-def _self_pairs(label: str, kinds: tuple[int, int, int]) -> tuple[tuple[str, str], ...]:
-    """The sorted (label, kind name) self pairs of one vertex, counted by kind."""
-    pairs: tuple[tuple[str, str], ...] = ()
-    for name, n in sorted(zip(_SELF_KIND.values(), kinds)):
-        pairs += ((label, name),) * n
-    return pairs
-
-
-def _splits(label: str, legs: tuple[str, ...]) -> tuple[str, list[tuple]]:
-    """The vertex label and its legs' self-pair splits, (kinds, self pairs, a, b, ways):
-    the form in which `_class_counts` reads a vertex.
-
-    `kinds` counts the u qq, y qdot q and x qdot qdot pairs, in `_SELF_KIND`
-    order, and `self pairs` lists them sorted as (label, kind name); they
-    leave a dotted and b plain legs free, and the k dotted and l plain legs
-    can be paired so in k! l! / (2^(x+u) x! u! y! a! b!) ways.
+    A vertex's legs split into self pairs and a dotted and b plain free legs
+    in k! l! / (2^(x+u) x! u! y! a! b!) ways, and a pair's free legs pair off
+    across, with at least one line, in a1! b1! a2! b2! / (X! Y! Z! U!) ways.
     """
-    f = _FACTORIALS
-    k = legs.count(QDOT)
-    l = len(legs) - k
-    out = []
-    for x in range(k // 2 + 1):
-        for y in range(min(k - 2 * x, l) + 1):
-            for u in range((l - y) // 2 + 1):
-                a, b = k - 2 * x - y, l - y - 2 * u
-                kinds = (u, y, x)
-                ways = f[k] * f[l] // (2 ** (x + u) * f[x] * f[u] * f[y] * f[a] * f[b])
-                out.append((kinds, _self_pairs(label, kinds), a, b, ways))
-    return label, out
+    splits = []
+    for label, legs in vertices:
+        k = legs.count(QDOT)
+        l = len(legs) - k
+        split = []
+        for x in range(k // 2 + 1):
+            for y in range(min(k - 2 * x, l) + 1):
+                for u in range((l - y) // 2 + 1):
+                    a, b = k - 2 * x - y, l - y - 2 * u
+                    selfs = []
+                    for name, n in zip(_SELF_KIND.values(), (u, y, x)):
+                        selfs += [(label, name)] * n
+                    ways = factorial(k) * factorial(l) // (
+                        2 ** (x + u) * factorial(x) * factorial(u) * factorial(y)
+                        * factorial(a) * factorial(b))
+                    split.append((selfs, a, b, ways))
+        splits.append(split)
 
-
-def _class_counts(first: tuple[str, list[tuple]], second: tuple[str, list[tuple]] | None = None,
-                  *, sign: int) -> dict[tuple, int]:
-    """(kinds, self pairs, shape, sign) -> matchings over the connected
-    contractions of one vertex or a pinned pair: `enumerate_contractions`
-    grouped, counted, with `sign` as the pinned-derivative sign.
-
-    Each vertex comes as its `_splits`.  `kinds` counts the self pairs of
-    both vertices by kind and follows from the self pairs; it rides in the
-    key so that no caller counts it again.
-    """
-    label1, splits1 = first
-    if second is None:
-        return {(kinds, selfs, (0, 0, 0, 0), 1): ways
-                for kinds, selfs, a, b, ways in splits1 if not a and not b}
-    label2, splits2 = second
-    f = _FACTORIALS
     counts: dict[tuple, int] = {}
-    for (u1, y1, x1), selfs1, a1, b1, ways1 in splits1:
-        # the free legs pair off across, with at least one cross line to
-        # keep the pair connected
-        if not a1 + b1:
-            continue
-        for (u2, y2, x2), selfs2, a2, b2, ways2 in splits2:
-            if a1 + b1 != a2 + b2:
+    if len(splits) == 1:
+        for selfs, a, b, ways in splits[0]:
+            if not a and not b:
+                counts[tuple(sorted(selfs)), (0, 0, 0, 0), 1] = ways
+        return counts
+    for selfs1, a1, b1, ways1 in splits[0]:
+        for selfs2, a2, b2, ways2 in splits[1]:
+            if not a1 + b1 or a1 + b1 != a2 + b2:
                 continue
-            kinds = (u1 + u2, y1 + y2, x1 + x2)
-            if label1 == label2:
-                selfs = _self_pairs(label1, kinds)
-            else:
-                selfs = selfs1 + selfs2 if label1 < label2 else selfs2 + selfs1
-            ways = ways1 * ways2 * f[a1] * f[b1] * f[a2] * f[b2]
+            selfs = tuple(sorted(selfs1 + selfs2))
+            ways = (ways1 * ways2 * factorial(a1) * factorial(b1)
+                    * factorial(a2) * factorial(b2))
             for X in range(max(0, a1 - b2, a2 - b1), min(a1, a2) + 1):
                 Y, Z = a1 - X, a2 - X
                 U = b1 - Z
-                key = (kinds, selfs, (U, Y + Z, X, 0), sign ** (X + Z))
-                counts[key] = counts.get(key, 0) + ways // (f[X] * f[Y] * f[Z] * f[U])
+                key = (selfs, (U, Y + Z, X, 0), sign ** (X + Z))
+                counts[key] = counts.get(key, 0) + ways // (
+                    factorial(X) * factorial(Y) * factorial(Z) * factorial(U))
     return counts
 
 
@@ -412,13 +395,15 @@ def _skeleton(singles: tuple[tuple[str, tuple[str, ...]], ...],
     `singles` holds the (label, legs) of each vertex whose first cumulant is
     taken, `pairs` the (label, legs, jacobian) of each vertex paired in the
     second cumulant (none at order 1), and `sign` is the pinned-derivative
-    sign.  Each entry is (vertices, self pairs, shape, sign, matchings,
-    kinds, family, slots): `kinds` counts the self pairs by kind, and
-    `slots` names the weight of one matching, (i,) for the coupling of
-    `singles[i]` and (i, j), i <= j, for the cumulant prefactor times the
-    couplings of `pairs[i]` and `pairs[j]`.  Classes of both orderings of a
-    vertex pair merge, so one slot serves both.  The entries hold ints,
-    strings and tuples only, so one result serves every caller.
+    sign.  It counts each vertex and each ordered pair with `_class_counts`.
+    Each entry is (vertices, self pairs, shape, sign, matchings, kinds,
+    family, slots): `kinds` counts the self pairs by kind, in `_SELF_KIND`
+    order, read off the self pairs, and `slots` names the weight of one
+    matching, (i,) for the coupling of `singles[i]` and (i, j), i <= j, for
+    the cumulant prefactor times the couplings of `pairs[i]` and `pairs[j]`.
+    Classes of both orderings of a vertex pair merge, so one slot serves
+    both.  The entries hold ints, strings and tuples only, so one result
+    serves every caller.
     """
     # key -> [matchings, kinds, family, slots]; the first contribution to a
     # key sets its kinds, family and slots, and later ones add matchings
@@ -426,21 +411,23 @@ def _skeleton(singles: tuple[tuple[str, tuple[str, ...]], ...],
 
     def add(vertices: tuple[str, ...], counts: dict[tuple, int], slots: tuple[int, ...],
             family: str | None) -> None:
-        for (kinds, selfs, shape, line_sign), count in counts.items():
+        for (selfs, shape, line_sign), count in counts.items():
             key = (vertices, selfs, shape, line_sign)
             entry = groups.get(key)
             if entry is not None:
                 entry[0] += count
             else:
+                kinds = tuple(sum(name == kind for _, name in selfs)
+                              for kind in _SELF_KIND.values())
                 groups[key] = [count, kinds, family or ("bubble" if selfs else "watermelon"),
                                slots]
 
     for i, (label, legs) in enumerate(singles):
-        add((label,), _class_counts(_splits(label, legs), sign=sign), (i,), "local")
-    split = [_splits(label, legs) for label, legs, _ in pairs]
-    for i, (label1, _, jacobian1) in enumerate(pairs):
-        for j, (label2, _, jacobian2) in enumerate(pairs):
-            add(tuple(sorted((label1, label2))), _class_counts(split[i], split[j], sign=sign),
+        add((label,), _class_counts([(label, legs)], sign), (i,), "local")
+    for i, (label1, legs1, jacobian1) in enumerate(pairs):
+        for j, (label2, legs2, jacobian2) in enumerate(pairs):
+            add(tuple(sorted((label1, label2))),
+                _class_counts([(label1, legs1), (label2, legs2)], sign),
                 (min(i, j), max(i, j)), "jacobian_bubble" if jacobian1 or jacobian2 else None)
     return tuple((*key, *entry) for key, entry in sorted(
         groups.items(), key=lambda kv: (kv[0][0], kv[0][2], kv[0][1], kv[0][3])))

@@ -370,13 +370,16 @@ GOLDEN = Path(__file__).resolve().parent / "data"
     (["diagrams", "--order", "2", "--json"], "diagrams_order_2.json"),
     (["diagrams", "--order", "2", "--a", "1/2", "--veltman"],
      "diagrams_order_2_a_half_veltman.txt"),
+    (["diagrams", "--order", "1", "--json"], "diagrams_order_1.json"),
+    (["diagrams", "--order", "1", "--a", "1/2", "--veltman"],
+     "diagrams_order_1_a_half_veltman.txt"),
     # the whole verification path, every reduction step included
     (["identities", "--json", "--trace"], "identities_json_trace.json"),
     (["verify", "--json", "--trace"], "verify_json_trace.json"),
     (["verify", "--a", "1/2", "--veltman", "--json", "--trace"],
      "verify_a_half_veltman_json_trace.json"),
-], ids=["table", "json", "a_half_veltman", "identities_json_trace", "verify_json_trace",
-        "verify_a_half_veltman_json_trace"])
+], ids=["table", "json", "a_half_veltman", "order_1_json", "order_1_a_half_veltman",
+        "identities_json_trace", "verify_json_trace", "verify_a_half_veltman_json_trace"])
 def test_diagrams_order_2_output_is_pinned(capsys, argv, golden):
     code, out, err = run(capsys, *argv)
     assert code == 0 and err == ""

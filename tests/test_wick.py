@@ -13,7 +13,7 @@ from singint import (A, D0, G, ONE, W, ZERO, D_AT_ZERO, DDDOT_AT_ZERO,
                      action_vertices, diagram_classes, enumerate_contractions, mono,
                      order_check, order_contribution, perfect_matchings, reduce)
 from singint import integrand, wick
-from singint.wick import Q, QDOT, _class_counts, _splits
+from singint.wick import Q, QDOT, _class_counts
 
 # equal-time value of one same-vertex pair; a qdot qdot pair is -ddD(0)
 SELF_VALUES = {(Q, Q): D_AT_ZERO, (QDOT, Q): DDOT_AT_ZERO, (QDOT, QDOT): -DDDOT_AT_ZERO}
@@ -167,12 +167,24 @@ def _direct_contraction(v1, v2, matching):
             shape[0] += 1
         elif kinds == (QDOT, QDOT):
             shape[2] += 1
-            sign = -sign
+            sign *= wick.PINNED_DERIVATIVE_SIGN
         else:
             shape[1] += 1
             if pinned_kind == QDOT:
-                sign = -sign
+                sign *= wick.PINNED_DERIVATIVE_SIGN
     return local, (*shape, 0), tuple(sorted(selfs)), sign
+
+
+def _direct_census(v1, v2=None):
+    """(local factor, shape, self pairs, sign) of each connected matching, from
+    `perfect_matchings` and `_direct_contraction`: no `enumerate_contractions`."""
+    legs = [(0, i, kind) for i, kind in enumerate(v1.legs)]
+    if v2 is not None:
+        legs += [(1, i, kind) for i, kind in enumerate(v2.legs)]
+    for matching in perfect_matchings(legs):
+        local, shape, selfs, sign = _direct_contraction(v1, v2, matching)
+        if v2 is None or shape != (0, 0, 0, 0):
+            yield local, shape, selfs, sign
 
 
 def _checked_pairs():
@@ -292,46 +304,36 @@ def test_no_pairing_outlives_its_call():
 
 
 def _enumerated_counts(v1, v2=None):
-    """(self pairs, shape, sign) -> matchings, grouped from the enumerated contractions."""
+    """(self pairs, shape, sign) -> matchings, grouped from the direct census."""
     counts = {}
-    for c in enumerate_contractions(v1, v2):
-        if c.connected:
-            key = (c.self_pairs, c.shape, c.orientation_sign)
-            counts[key] = counts.get(key, 0) + 1
+    for _, shape, selfs, sign in _direct_census(v1, v2):
+        key = (selfs, shape, sign)
+        counts[key] = counts.get(key, 0) + 1
     return counts
 
 
 def _counted(v1, v2=None):
-    """`_class_counts` keyed as `_enumerated_counts`, after checking that each
-    key's self-pair kind counts follow from its self pairs."""
-    counts = {}
-    splits = [_splits(v.label, v.legs) for v in (v1, v2) if v is not None]
-    for (kinds, selfs, shape, sign), count in _class_counts(
-            *splits, sign=wick.PINNED_DERIVATIVE_SIGN).items():
-        assert kinds == tuple(sum(name == kind for _, name in selfs)
-                              for kind in ("qq", "qdot q", "qdot qdot"))
-        counts[selfs, shape, sign] = count
-    return counts
+    """`_class_counts` keyed as `_enumerated_counts`."""
+    vertices = [(v.label, v.legs) for v in (v1, v2) if v is not None]
+    return _class_counts(vertices, wick.PINNED_DERIVATIVE_SIGN)
 
 
 def _enumerated_classes(order):
-    """`diagram_classes(order)` built by grouping every enumerated matching."""
+    """`diagram_classes(order)` built by grouping every matching of the direct census."""
     groups = {}
 
     def classify(prefactor, v1, v2=None):
         weight = prefactor * v1.coupling * (v2.coupling if v2 is not None else ONE)
         vertices = tuple(sorted(v.label for v in (v1, v2) if v is not None))
-        for c in enumerate_contractions(v1, v2):
-            if not c.connected:
-                continue
+        for local, shape, selfs, sign in _direct_census(v1, v2):
             if v2 is None:
                 family = "local"
             elif v1.jacobian or v2.jacobian:
                 family = "jacobian_bubble"
             else:
-                family = "bubble" if c.self_pairs else "watermelon"
-            entry = groups.setdefault((vertices, c.self_pairs, c.shape, c.orientation_sign),
-                                      [0, ZERO, c.local_factor, family])
+                family = "bubble" if selfs else "watermelon"
+            entry = groups.setdefault((vertices, selfs, shape, sign),
+                                      [0, ZERO, local, family])
             entry[0] += 1
             entry[1] = entry[1] + weight
 
@@ -364,6 +366,37 @@ def test_counted_classes_equal_enumerated_ones():
         assert _counted(v1, v2) == _enumerated_counts(v1, v2), (v1.label, v2 and v2.label)
 
 
+def _leg_splits(total):
+    """Every (dotted, plain) leg count of a vertex with at most `total` legs."""
+    return [(k, n - k) for n in range(total + 1) for k in range(n + 1)]
+
+
+def test_single_vertex_counts_sum_to_all_matchings():
+    # past what anyone enumerates: (k+l-1)!! matchings, every one connected
+    for k, l in _leg_splits(14):
+        if (k + l) % 2:
+            continue
+        counts = _class_counts([("v", (QDOT,) * k + (Q,) * l)], -1)
+        assert sum(counts.values()) == double_factorial_odd((k + l) // 2), (k, l)
+
+
+@pytest.mark.parametrize("sign", [-1, 1])
+def test_pair_counts_and_disconnected_ones_sum_to_all_matchings(sign):
+    for k1, l1 in _leg_splits(16):
+        n1 = k1 + l1
+        for k2, l2 in _leg_splits(16 - n1):
+            n2 = k2 + l2
+            if (n1 + n2) % 2:
+                continue
+            counts = _class_counts([("u", (QDOT,) * k1 + (Q,) * l1),
+                                    ("v", (QDOT,) * k2 + (Q,) * l2)], sign)
+            # each vertex matched on its own; an odd leg count admits none
+            disconnected = 0 if n1 % 2 else (double_factorial_odd(n1 // 2)
+                                             * double_factorial_odd(n2 // 2))
+            assert (sum(counts.values()) + disconnected
+                    == double_factorial_odd((n1 + n2) // 2)), (k1, l1, k2, l2)
+
+
 def test_diagram_classes_equal_the_enumerated_census():
     for order in (1, 2):
         assert diagram_classes(order) == _enumerated_classes(order)
@@ -371,7 +404,7 @@ def test_diagram_classes_equal_the_enumerated_census():
 
 def test_a_patch_after_a_warm_call_takes_effect(monkeypatch):
     shipped = diagram_classes(2)
-    # the enumerator reads the sign through `enumerate_contractions`
+    # the direct census reads the sign through `_direct_contraction`
     monkeypatch.setattr(wick, "PINNED_DERIVATIVE_SIGN", 1)
     unsigned = diagram_classes(2)
     assert unsigned == _enumerated_classes(2)
