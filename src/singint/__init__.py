@@ -16,20 +16,18 @@ from .reducer import (ReductionTrace, RuleError, TraceStep, base_integral,
 from .ring import A, D0, G, ONE, W, ZERO, ValuePoly, wpow
 from .verify import (CheckResult, diagram_identities, identity_suite,
                      order_check, quadrature_oracle)
-from .wick import (Contraction, DiagramClass, Vertex, action_vertices,
-                   diagram_classes, enumerate_contractions, order_contribution,
-                   perfect_matchings)
+from .wick import (DiagramClass, Vertex, action_vertices, diagram_classes,
+                   order_contribution)
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "A", "CheckResult", "Contraction", "D0", "D_AT_ZERO", "DDDOT_AT_ZERO",
-    "DDOT_AT_ZERO", "DiagramClass", "G", "IntegrandMonomial", "IntegrandSum",
-    "ONE", "ReductionTrace", "RuleError", "TraceStep", "ValuePoly", "Vertex",
-    "W", "ZERO", "action_vertices", "base_integral", "diagram_classes",
-    "diagram_identities", "enumerate_contractions", "eval_dirac",
-    "eval_dirac_squared", "ibp_step", "identity_suite", "integrand_sum",
-    "mono", "order_check", "order_contribution",
-    "perfect_matchings", "quadrature_oracle", "reduce",
+    "A", "CheckResult", "D0", "D_AT_ZERO", "DDDOT_AT_ZERO", "DDOT_AT_ZERO",
+    "DiagramClass", "G", "IntegrandMonomial", "IntegrandSum", "ONE",
+    "ReductionTrace", "RuleError", "TraceStep", "ValuePoly", "Vertex", "W",
+    "ZERO", "action_vertices", "base_integral", "diagram_classes",
+    "diagram_identities", "eval_dirac", "eval_dirac_squared", "ibp_step",
+    "identity_suite", "integrand_sum", "mono", "order_check",
+    "order_contribution", "quadrature_oracle", "reduce",
     "substitute_field_equation", "wpow",
 ]

@@ -57,8 +57,9 @@ factor once per kind count, and returns new classes.  So a patched
 coupling, prefactor or equal-time constant takes effect at once, and a
 patched vertex set or sign selects another skeleton.
 
-`enumerate_contractions` is the reference those counts are tested against.
-It produces every raw perfect matching of the vertex legs, nothing skipped,
+`enumerate_contractions` is timed by the `census` benchmark workload, and
+the chain-rule census in the tests holds it, matching by matching.  It
+produces every raw perfect matching of the vertex legs, nothing skipped,
 with its cross lines as a shape and a sign: a matching that dD(0) = 0 kills
 has a zero local factor, and a disconnected one is flagged, not suppressed.
 
@@ -90,7 +91,7 @@ import gc
 from fractions import Fraction
 from functools import cache
 from math import factorial
-from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .integrand import IntegrandMonomial, IntegrandSum, local_value
 from .ring import A, D0, G, ONE, W, ZERO, ValuePoly
@@ -131,29 +132,23 @@ _ORDER_2 = (
 )
 
 
+def _check_order(order: int) -> None:
+    """Refuse an order that is not an int, as the ring refuses such exponents."""
+    if type(order) is not int:
+        raise TypeError(f"an order must be an int, not {type(order).__name__}")
+
+
 def action_vertices(order: int) -> list[Vertex]:
     """The interaction and measure vertices carrying g^order, exact couplings.
 
     Each call returns a new list, so a caller may change it.
     """
+    _check_order(order)
     if order == 1:
         return list(_ORDER_1)
     if order == 2:
         return list(_ORDER_2)
     raise ValueError("vertices are expanded to second order only")
-
-
-def perfect_matchings(items: Sequence[Leg]) -> Iterator[tuple[tuple[Leg, Leg], ...]]:
-    """All ways to split the legs into unordered pairs, (2k-1)!! of them."""
-    if not items:
-        yield ()
-        return
-    first = items[0]
-    rest = items[1:]
-    for i, partner in enumerate(rest):
-        remaining = rest[:i] + rest[i + 1:]
-        for tail in perfect_matchings(remaining):
-            yield ((first, partner),) + tail
 
 
 class Contraction(NamedTuple):
@@ -191,9 +186,10 @@ def _extend(rest: tuple[int, ...], pairing: tuple, acc: int,
             memo: dict | None = None) -> None:
     """Pass every completion of `pairing` over the leg indices `rest` to `leaf`.
 
-    Completions come in `perfect_matchings` order, each with `acc` plus the
-    deltas of the pairs it adds.  `rest` is ascending, so `table[i][j]`
-    holds the (pair, delta) of legs i < j.
+    Completions come in matching order: the first leg paired with each later
+    leg in turn, each followed by the completions of what is left.  Each comes
+    with `acc` plus the deltas of the pairs it adds.  `rest` is ascending, so
+    `table[i][j]` holds the (pair, delta) of legs i < j.
 
     With a `memo`, the 15 completions of each 6-leg remainder are built once,
     as (tail pairs, tail delta), and every later prefix that leaves the same
@@ -222,7 +218,7 @@ def _extend(rest: tuple[int, ...], pairing: tuple, acc: int,
 
 
 def _tails(rest: tuple[int, ...], table: list[list]) -> list[tuple[tuple, int]]:
-    """Every completion over `rest` as (pairs, delta), in `perfect_matchings` order."""
+    """Every completion over `rest` as (pairs, delta), in matching order."""
     tails: list[tuple[tuple, int]] = []
     _extend(rest, (), 0, table, lambda tail, delta: tails.append((tail, delta)))
     return tails
@@ -338,9 +334,9 @@ class DiagramClass(NamedTuple):
 def _class_counts(vertices: Sequence[tuple[str, tuple[str, ...]]],
                   sign: int) -> dict[tuple, int]:
     """(self pairs, shape, sign) -> matchings over the connected contractions
-    of one (label, legs) vertex or a pinned pair of them:
-    `enumerate_contractions` grouped and counted, with `sign` as the
-    pinned-derivative sign.
+    of one (label, legs) vertex or a pinned pair of them, with `sign` as the
+    pinned-derivative sign: how many matchings share each self-pair pattern,
+    cross-line shape and line sign.
 
     A vertex's legs split into self pairs and a dotted and b plain free legs
     in k! l! / (2^(x+u) x! u! y! a! b!) ways, and a pair's free legs pair off
@@ -435,6 +431,7 @@ def _skeleton(singles: tuple[tuple[str, tuple[str, ...]], ...],
 
 def diagram_classes(order: int) -> list[DiagramClass]:
     """All connected diagram classes contributing at g^order, vanishing included."""
+    _check_order(order)
     if order not in (1, 2):
         raise ValueError("diagrams are generated to second order only")
     singles = action_vertices(order)

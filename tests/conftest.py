@@ -2,10 +2,12 @@
 
 import warnings
 from fractions import Fraction
+from typing import Iterator, Sequence
 
 from hypothesis import strategies as st
 
 from singint import ZERO, IntegrandMonomial, IntegrandSum, ValuePoly, mono
+from singint.wick import Leg
 
 # Hypothesis imports this module to report a failing example; its libcst import
 # raises a DeprecationWarning, which under -W error ends the run with an
@@ -109,3 +111,17 @@ def total_derivative(m: int, n: int) -> IntegrandSum:
     if n:
         terms.append(mono(m, n - 1, 1, 0, coeff=n))
     return IntegrandSum(terms)
+
+
+# the Wick reference: `wick.enumerate_contractions` gives its matchings in this order
+def perfect_matchings(items: Sequence[Leg]) -> Iterator[tuple[tuple[Leg, Leg], ...]]:
+    """All ways to split the legs into unordered pairs, (2k-1)!! of them."""
+    if not items:
+        yield ()
+        return
+    first = items[0]
+    rest = items[1:]
+    for i, partner in enumerate(rest):
+        remaining = rest[:i] + rest[i + 1:]
+        for tail in perfect_matchings(remaining):
+            yield ((first, partner),) + tail

@@ -12,13 +12,14 @@ from math import prod
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import integrand_sums, rationals, reducible_sums, value_polys
+from conftest import (integrand_sums, perfect_matchings, rationals, reducible_sums,
+                      value_polys)
 from singint import (A, D0, G, ONE, W, ZERO, D_AT_ZERO, ValuePoly,
                      action_vertices, diagram_classes, diagram_identities,
-                     enumerate_contractions, identity_suite, integrand_sum,
-                     mono, order_check, perfect_matchings, quadrature_oracle,
-                     reduce)
+                     identity_suite, integrand_sum, mono, order_check,
+                     quadrature_oracle, reduce)
 from singint.cli import parse, render_sum
+from singint.wick import enumerate_contractions
 
 G2 = G * G
 HALF = Fraction(1, 2)
