@@ -141,12 +141,21 @@ class IntegrandSum:
 
     The constructor merges monomials of equal shape, drops zero-coefficient
     terms and sorts the rest lexicographically by (m, n, p, q), so two sums
-    are equal exactly when their terms are.
+    are equal exactly when their terms are.  A one-term list or tuple has
+    nothing to merge or sort and only drops a zero coefficient.
+
+    A reducer rule that changes nothing returns the sum it was given, not an
+    equal copy, and the reduction trace records only the rules that change
+    the state.
     """
 
     __slots__ = ("terms",)
 
     def __init__(self, terms: Iterable[IntegrandMonomial] = ()):
+        if terms.__class__ in (list, tuple) and len(terms) == 1:  # nothing to merge or sort
+            term = terms[0]
+            self.terms = () if term.coeff.is_zero else (term,)
+            return
         # a shape seen once keeps its monomial; only a repeat pays a ring add
         acc: dict[Shape, IntegrandMonomial] = {}
         for term in terms:

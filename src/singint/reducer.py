@@ -30,7 +30,9 @@ How far that holds:
   -3/32 w^-1 against its Lebesgue value 1/32 w^-1.
 
 The reduction state is a pair (accumulated ring value, residual integrand
-sum); the trace records every state change for replay and display.
+sum).  A rule that changes nothing returns its input objects, so `reduce`
+skips it by identity before it compares any values, and the trace records
+only state changes, for replay and display.
 """
 
 from __future__ import annotations
@@ -81,6 +83,8 @@ class ReductionTrace(NamedTuple):
 
 def substitute_field_equation(s: IntegrandSum) -> IntegrandSum:
     """Eliminate all ddD factors via ddD = -delta + w^2 D (binomial expansion)."""
+    if not any(t.p for t in s):
+        return s
     out: list[IntegrandMonomial] = []
     for t in s:
         if t.p == 0:
@@ -96,7 +100,10 @@ def substitute_field_equation(s: IntegrandSum) -> IntegrandSum:
 
 
 def _fold_delta(s: IntegrandSum, q: int) -> tuple[ValuePoly, IntegrandSum]:
-    """Evaluate every delta^q term to f(0) * d0^(q-1); reject higher delta powers."""
+    """Evaluate every delta^q term to f(0) * d0^(q-1); reject higher delta powers.
+
+    With no term of delta power q or more, this is (ZERO, s) itself.
+    """
     value = ZERO
     rest: list[IntegrandMonomial] = []
     for t in s:
@@ -109,6 +116,8 @@ def _fold_delta(s: IntegrandSum, q: int) -> tuple[ValuePoly, IntegrandSum]:
             value = value + (got * D0 if q == 2 else got)
         else:
             rest.append(t)
+    if len(rest) == len(s):
+        return ZERO, s
     return value, IntegrandSum(rest)
 
 
@@ -130,7 +139,7 @@ def drop_odd_orientation(s: IntegrandSum) -> IntegrandSum:
             raise RuleError("parity rule applies after delta elimination")
         if t.n % 2 == 0:
             kept.append(t)
-    return IntegrandSum(kept)
+    return s if len(kept) == len(s) else IntegrandSum(kept)
 
 
 def ibp_step(t: IntegrandMonomial) -> IntegrandSum:
@@ -194,8 +203,13 @@ def _parity(state: State) -> State:
 def _ibp(state: State) -> State:
     """One sweep: every term with dD^2 or more takes one ibp move."""
     value, pending = state
+    terms = pending.terms
+    if len(terms) == 1 and terms[0].n >= 2:
+        return value, ibp_step(terms[0])  # a lone term's move is already canonical
+    if not any(t.n >= 2 for t in terms):
+        return state
     rewritten: list[IntegrandMonomial] = []
-    for t in pending:
+    for t in terms:
         if t.n >= 2:
             rewritten.extend(ibp_step(t))
         else:
@@ -205,6 +219,8 @@ def _ibp(state: State) -> State:
 
 def _base(state: State) -> State:
     value, pending = state
+    if pending.is_zero:
+        return state
     got = ZERO
     for t in pending:
         got = got + t.coeff * base_integral(t.m)
@@ -243,6 +259,8 @@ def reduce(s: IntegrandSum) -> tuple[ValuePoly, ReductionTrace]:
     def advance(rule: str) -> None:
         nonlocal state
         new_value, new_pending = RULES[rule](state)
+        if new_value is state[0] and new_pending is state[1]:
+            return
         if new_value != state[0] or new_pending.terms != state[1].terms:
             after = (new_value, new_pending)
             steps.append(TraceStep(rule, state, after))

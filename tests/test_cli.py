@@ -13,8 +13,9 @@ from hypothesis import given, settings
 
 from conftest import integrand_sums
 from singint import (IntegrandSum, ValuePoly, ZERO, diagram_classes, integrand_sum, mono,
-                     order_contribution)
+                     order_contribution, reduce)
 from singint.cli import ParseError, _report_checks, main, parse, render_sum
+from singint.reducer import RULES
 from singint.verify import CheckResult
 
 
@@ -363,6 +364,8 @@ def test_diagrams_command_json(capsys):
 
 
 GOLDEN = Path(__file__).resolve().parent / "data"
+# fires all six rules, with three ibp sweeps and the dD^2 contact term
+GOLDEN_REDUCE = "ddD^2 D + ddD delta + 1/3 D dD^6 + dD^3"
 
 
 @pytest.mark.parametrize("argv, golden", [
@@ -378,12 +381,24 @@ GOLDEN = Path(__file__).resolve().parent / "data"
     (["verify", "--json", "--trace"], "verify_json_trace.json"),
     (["verify", "--a", "1/2", "--veltman", "--json", "--trace"],
      "verify_a_half_veltman_json_trace.json"),
+    (["reduce", GOLDEN_REDUCE, "--trace"], "reduce_trace.txt"),
+    (["reduce", GOLDEN_REDUCE, "--trace", "--json"], "reduce_json_trace.json"),
 ], ids=["table", "json", "a_half_veltman", "order_1_json", "order_1_a_half_veltman",
-        "identities_json_trace", "verify_json_trace", "verify_a_half_veltman_json_trace"])
+        "identities_json_trace", "verify_json_trace", "verify_a_half_veltman_json_trace",
+        "reduce_trace", "reduce_json_trace"])
 def test_diagrams_order_2_output_is_pinned(capsys, argv, golden):
     code, out, err = run(capsys, *argv)
     assert code == 0 and err == ""
     assert out == (GOLDEN / golden).read_text()
+
+
+def test_the_pinned_reduction_fires_every_rule():
+    steps = reduce(parse(GOLDEN_REDUCE))[1].steps
+    rules = [step.rule for step in steps]
+    assert set(rules) == set(RULES) and rules.count("ibp") >= 3
+    # the last ibp sweep moves dD^2 and emits its contact term, a single delta
+    last_ibp = [step for step in steps if step.rule == "ibp"][-1]
+    assert any(t.q == 1 for t in last_ibp.after[1])
 
 
 @pytest.mark.parametrize("order", [1, 2])

@@ -240,3 +240,17 @@ def test_reduction_steps_unchanged_under_reference_normalize(monkeypatch, text, 
 def _step_terms(trace):
     return [(step.rule, step.before[0], step.before[1].terms,
              step.after[0], step.after[1].terms) for step in trace.steps]
+
+
+def test_a_one_term_sum_drops_a_zero_coefficient():
+    zero = mono(1, 0, coeff=0)
+    assert IntegrandSum([zero]).terms == () == IntegrandSum((zero,)).terms
+    assert IntegrandSum([zero]) == IntegrandSum()
+
+
+@given(integrand_monomials())
+@settings(max_examples=200, deadline=None)
+def test_a_one_term_sum_equals_the_general_path(t):
+    general = IntegrandSum(iter([t]))  # an iterator takes the merge-and-sort path
+    for one in (IntegrandSum([t]), IntegrandSum((t,))):
+        assert one.terms == general.terms == tuple(merge_then_sort([t]))

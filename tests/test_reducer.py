@@ -7,13 +7,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (integrand_sums, merge_then_sort, rationals, reducible_sums,
-                      total_derivative)
-from singint import (D0, ZERO, D_AT_ZERO, IntegrandSum, ReductionTrace,
+                      ring_monomials, total_derivative, value_polys)
+from singint import (D0, ONE, ZERO, D_AT_ZERO, IntegrandMonomial, IntegrandSum, ReductionTrace,
                      RuleError, TraceStep, ValuePoly, base_integral,
                      eval_dirac, eval_dirac_squared, ibp_step, integrand_sum,
                      mono, reduce, reducer, substitute_field_equation, wpow)
 from singint.integrand import parse
-from singint.reducer import MAX_INPUT_POWER, RULES
+from singint.reducer import MAX_INPUT_POWER, RULES, drop_odd_orientation
+from test_verify import _ibp_contact_dropped
 
 
 def value_of(*terms):
@@ -269,3 +270,123 @@ def test_total_derivatives_of_bare_dD_powers():
               9: Fraction(-35, 4096), 11: Fraction(315, 131072)}
     for n in range(1, 13):
         assert value_of(*total_derivative(0, n)) == pinned.get(n, 0), n
+
+
+# -- a rule that changes nothing returns its input ---------------------------
+
+def _plain_reduce(s):
+    """`reduce` as a plain sweep: every rule result is compared by value, none skipped."""
+    for t in s:
+        if t.is_bare_measure:
+            raise RuleError("divergent bare measure: term without any factor")
+        if t.q > 2:
+            raise RuleError(f"no rule for delta^{t.q}")
+    if sum(t.m + t.n + t.p + t.q for t in s) > MAX_INPUT_POWER:
+        raise RuleError(f"factor powers of the input sum past {MAX_INPUT_POWER}")
+    steps = []
+    state = (ZERO, s)
+
+    def advance(rule):
+        nonlocal state
+        after = RULES[rule](state)
+        if after[0] != state[0] or after[1].terms != state[1].terms:
+            steps.append(TraceStep(rule, state, after))
+            state = after
+
+    for rule in ("field_equation", "delta_squared", "delta", "parity"):
+        advance(rule)
+    while any(t.n for t in state[1]):
+        advance("ibp")
+        advance("delta")
+    advance("base")
+    return state[0], tuple(steps)
+
+
+def _assert_reduce_is_the_plain_sweep(s):
+    try:
+        expected = _plain_reduce(s)
+    except RuleError as exc:
+        with pytest.raises(RuleError) as got:
+            reduce(s)
+        assert str(got.value) == str(exc)
+        return
+    value, trace = reduce(s)
+    assert (value, trace.steps) == expected
+
+
+@pytest.mark.parametrize("text", [
+    "ddD delta^2", "ddD^3 + ddD^2 delta", "ddD^2 D + ddD delta + 1/3 D dD^6 + dD^3",
+    "D^3 dD^40 + w D dD^2 + delta", "dD^5 + D^2", "dD^2 - dD^2 + D",
+])
+def test_reduce_matches_a_plain_sweep_on_pinned_sums(text):
+    _assert_reduce_is_the_plain_sweep(parse(text))
+
+
+@given(st.integers(0, 8), st.integers(0, 40), st.integers(0, 2), st.integers(0, 2),
+       ring_monomials())
+@settings(max_examples=150, deadline=None)
+def test_reduce_matches_a_plain_sweep_on_monomials(m, n, p, q, coeff):
+    _assert_reduce_is_the_plain_sweep(IntegrandSum([IntegrandMonomial(m, n, p, q, coeff)]))
+
+
+@given(st.one_of(integrand_sums(max_terms=5), reducible_sums(max_terms=5)))
+@settings(max_examples=150, deadline=None)
+def test_reduce_matches_a_plain_sweep_on_mixed_sums(s):
+    _assert_reduce_is_the_plain_sweep(s)
+
+
+@pytest.mark.parametrize("rule, text", [
+    ("field_equation", "dD^3 + w^2 D delta + delta^2"),
+    ("delta_squared", "ddD D + D delta + dD^2"),
+    ("delta", "ddD + D^2 + dD^4"),
+    ("parity", "D + dD^2"),
+    ("ibp", "D^3 + w ddD D + delta"),
+    ("base", ""),
+])
+def test_a_rule_that_changes_nothing_returns_its_input_objects(rule, text):
+    value = ValuePoly.monomial(Fraction(1, 2), w=-1)
+    pending = parse(text) if text else IntegrandSum()
+    after_value, after_pending = RULES[rule]((value, pending))
+    assert after_value is value and after_pending is pending
+
+
+def test_rule_functions_return_their_input_when_nothing_applies():
+    s = parse("D^2 + dD^4")
+    assert substitute_field_equation(s) is s
+    assert drop_odd_orientation(s) is s
+    for fold in (eval_dirac_squared, eval_dirac):
+        value, rest = fold(s)
+        assert value is ZERO and rest is s
+
+
+@given(integrand_sums(), value_polys())
+@settings(max_examples=150, deadline=None)
+def test_a_rule_result_equal_to_its_input_is_its_input(s, value):
+    for name, rule in RULES.items():
+        try:
+            after = rule((value, s))
+        except RuleError:
+            continue
+        if after == (value, s):
+            assert after[0] is value and after[1] is s, name
+
+
+def test_a_rule_that_returns_an_equal_copy_records_no_step(monkeypatch):
+    s = parse("D dD^6 + D delta")
+    expected = reduce(s)
+    delta = RULES["delta"]
+
+    def copying_delta(state):
+        got, rest = delta(state)
+        return got + ONE - ONE, IntegrandSum(list(rest.terms))
+
+    monkeypatch.setitem(RULES, "delta", copying_delta)
+    assert reduce(s) == expected
+
+
+def test_ibp_reads_ibp_step_at_call_time_on_a_lone_term(monkeypatch):
+    state = (ZERO, parse("dD^2"))
+    assert RULES["ibp"](state)[1] == parse("D delta - w^2 D^2")
+    _ibp_contact_dropped(monkeypatch)
+    assert RULES["ibp"](state)[1] == parse("-w^2 D^2")
+    assert reduce(state[1])[0] == poly(Fraction(-1, 4), w=-1)
