@@ -108,13 +108,6 @@ class IntegrandMonomial:
     def scaled(self, factor: ValuePoly | RationalLike) -> "IntegrandMonomial":
         return IntegrandMonomial(self.m, self.n, self.p, self.q, self.coeff * factor)
 
-    def __mul__(self, other: "IntegrandMonomial") -> "IntegrandMonomial":
-        if not isinstance(other, IntegrandMonomial):
-            return NotImplemented
-        return IntegrandMonomial(self.m + other.m, self.n + other.n,
-                                 self.p + other.p, self.q + other.q,
-                                 self.coeff * other.coeff)
-
     def factors_text(self) -> str:
         """Render the factor part, unit powers elided, e.g. 'D^2 ddD'."""
         pieces = []
@@ -178,14 +171,6 @@ class IntegrandSum:
         if not isinstance(other, IntegrandSum):
             return NotImplemented
         return IntegrandSum(self.terms + other.terms)
-
-    def __neg__(self) -> "IntegrandSum":
-        return self.scale(-1)
-
-    def __sub__(self, other: "IntegrandSum") -> "IntegrandSum":
-        if not isinstance(other, IntegrandSum):
-            return NotImplemented
-        return self + (-other)
 
     def scale(self, factor: ValuePoly | RationalLike) -> "IntegrandSum":
         return IntegrandSum(t.scaled(factor) for t in self.terms)

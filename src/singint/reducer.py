@@ -24,15 +24,18 @@ How far that holds:
   m <= 40, n <= 60).  With no D factor it need not: integral d/dt(dD^n) for
   odd n >= 3 reduces to a nonzero rational (1/4 for n = 3), because
   dD(0) = 0 drops the delta term of n dD^(n-1) ddD; for even n it is 0.
+  What fixes the contact value [dD^2](0) = 0 is the order-g^2
+  cancellation: `tests/test_rule_derivation.py` patches it to c and finds
+  the order-2 total c g^2 w^-1.
 - The values agree with the Lebesgue integral on D^m and D^m dD^2, the
   sector the quadrature oracle checks, but not on every absolutely
   integrable product: dD^4 is bounded and decays, and reduces to
   -3/32 w^-1 against its Lebesgue value 1/32 w^-1.
 
 The reduction state is a pair (accumulated ring value, residual integrand
-sum).  A rule that changes nothing returns its input objects, so `reduce`
-skips it by identity before it compares any values, and the trace records
-only state changes, for replay and display.
+sum).  A rule whose result equals its input returns its input objects, so
+`reduce` records a step exactly when a rule hands back a new object, and
+the trace records only state changes, for replay and display.
 """
 
 from __future__ import annotations
@@ -258,11 +261,8 @@ def reduce(s: IntegrandSum) -> tuple[ValuePoly, ReductionTrace]:
 
     def advance(rule: str) -> None:
         nonlocal state
-        new_value, new_pending = RULES[rule](state)
-        if new_value is state[0] and new_pending is state[1]:
-            return
-        if new_value != state[0] or new_pending.terms != state[1].terms:
-            after = (new_value, new_pending)
+        after = RULES[rule](state)
+        if after[0] is not state[0] or after[1] is not state[1]:
             steps.append(TraceStep(rule, state, after))
             state = after
 

@@ -362,8 +362,11 @@ def _power_sum(powers: list[tuple[int, Pair]], value: Pair) -> Pair:
     part, each by more than the H bits their coefficients can cancel.  So
     the sum keeps over half the gap less H, more than 4 * limit bits,
     upstairs or downstairs, and raises the printer's error.  A zero group
-    between survivors only widens their gap; a lone survivor is bounded as
-    one term.
+    between survivors only widens their gap.  A lone survivor, total *
+    value**low, raises the same error when |low| * bits less the height of
+    total passes 4 * limit: the side that holds max(|p|, q)**|low| then
+    keeps more than 4 * limit bits.  Otherwise its power stays under
+    2 (4 * limit + height) bits.
     """
     if len(powers) == 1 and not powers[0][0]:
         return powers[0][1]  # value**0, as for most terms an order check binds
@@ -382,27 +385,13 @@ def _power_sum(powers: list[tuple[int, Pair]], value: Pair) -> Pair:
     if not survivors:
         return 0, 1
     (total, low), *others = survivors
-    if others or limit and _passes_digit_limit(total, low, value):
+    if others or limit and abs(low) * bits - _height(total) > 4 * limit:
         raise _digit_limit_error()
     return _qmul(total, _qpow(value, low))
 
 
 def _height(x: Pair) -> int:
     return max(abs(x[0]).bit_length(), x[1].bit_length())
-
-
-def _passes_digit_limit(coef: Pair, k: int, value: Pair) -> bool:
-    """Whether coef * value**k surely passes the digit limit.
-
-    For value = p/q in lowest terms and k > 0, the product keeps at least
-    p^k / den(coef) upstairs and q^k / num(coef) downstairs; past 4 * limit
-    bits a number has over `limit` digits.  A negative k swaps p and q.
-    """
-    up, down = abs(value[0]).bit_length(), value[1].bit_length()
-    if k < 0:
-        up, down, k = down, up, -k
-    bits = max(k * (up - 1) - coef[1].bit_length(), k * (down - 1) - abs(coef[0]).bit_length())
-    return bits > 4 * _max_str_digits()
 
 
 def _max_str_digits() -> int:

@@ -132,18 +132,14 @@ _ORDER_2 = (
 )
 
 
-def _check_order(order: int) -> None:
-    """Refuse an order that is not an int, as the ring refuses such exponents."""
-    if type(order) is not int:
-        raise TypeError(f"an order must be an int, not {type(order).__name__}")
-
-
 def action_vertices(order: int) -> list[Vertex]:
     """The interaction and measure vertices carrying g^order, exact couplings.
 
-    Each call returns a new list, so a caller may change it.
+    Each call returns a new list, so a caller may change it.  An order that
+    is not an int is refused, as the ring refuses such exponents.
     """
-    _check_order(order)
+    if type(order) is not int:
+        raise TypeError(f"an order must be an int, not {type(order).__name__}")
     if order == 1:
         return list(_ORDER_1)
     if order == 2:
@@ -431,9 +427,6 @@ def _skeleton(singles: tuple[tuple[str, tuple[str, ...]], ...],
 
 def diagram_classes(order: int) -> list[DiagramClass]:
     """All connected diagram classes contributing at g^order, vanishing included."""
-    _check_order(order)
-    if order not in (1, 2):
-        raise ValueError("diagrams are generated to second order only")
     singles = action_vertices(order)
     pairs = action_vertices(1) if order == 2 else []
     skeleton = _skeleton(tuple((v.label, v.legs) for v in singles),

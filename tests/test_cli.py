@@ -3,6 +3,7 @@
 import argparse
 import json
 import os
+import shlex
 import subprocess
 import sys
 from fractions import Fraction
@@ -364,29 +365,18 @@ def test_diagrams_command_json(capsys):
 
 
 GOLDEN = Path(__file__).resolve().parent / "data"
+# one line per pinned output: test id, golden file name and the shell-quoted argv,
+# tab-separated; the installed console script is diffed against the same table
+GOLDENS = [line.split("\t") for line in (GOLDEN / "goldens.tsv").read_text().splitlines()]
 # fires all six rules, with three ibp sweeps and the dD^2 contact term
-GOLDEN_REDUCE = "ddD^2 D + ddD delta + 1/3 D dD^6 + dD^3"
+GOLDEN_REDUCE = next(shlex.split(argv)[1] for test_id, _, argv in GOLDENS
+                     if test_id == "reduce_trace")
 
 
-@pytest.mark.parametrize("argv, golden", [
-    (["diagrams", "--order", "2"], "diagrams_order_2.txt"),
-    (["diagrams", "--order", "2", "--json"], "diagrams_order_2.json"),
-    (["diagrams", "--order", "2", "--a", "1/2", "--veltman"],
-     "diagrams_order_2_a_half_veltman.txt"),
-    (["diagrams", "--order", "1", "--json"], "diagrams_order_1.json"),
-    (["diagrams", "--order", "1", "--a", "1/2", "--veltman"],
-     "diagrams_order_1_a_half_veltman.txt"),
-    # the whole verification path, every reduction step included
-    (["identities", "--json", "--trace"], "identities_json_trace.json"),
-    (["verify", "--json", "--trace"], "verify_json_trace.json"),
-    (["verify", "--a", "1/2", "--veltman", "--json", "--trace"],
-     "verify_a_half_veltman_json_trace.json"),
-    (["reduce", GOLDEN_REDUCE, "--trace"], "reduce_trace.txt"),
-    (["reduce", GOLDEN_REDUCE, "--trace", "--json"], "reduce_json_trace.json"),
-], ids=["table", "json", "a_half_veltman", "order_1_json", "order_1_a_half_veltman",
-        "identities_json_trace", "verify_json_trace", "verify_a_half_veltman_json_trace",
-        "reduce_trace", "reduce_json_trace"])
-def test_diagrams_order_2_output_is_pinned(capsys, argv, golden):
+@pytest.mark.parametrize("golden, argv", [(golden, shlex.split(argv))
+                                          for _, golden, argv in GOLDENS],
+                         ids=[test_id for test_id, _, _ in GOLDENS])
+def test_diagrams_order_2_output_is_pinned(capsys, golden, argv):
     code, out, err = run(capsys, *argv)
     assert code == 0 and err == ""
     assert out == (GOLDEN / golden).read_text()

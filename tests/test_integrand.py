@@ -67,12 +67,9 @@ def test_factors_text_elides_unit_powers():
 
 
 def test_monomial_product_adds_powers_and_multiplies_coefficients():
-    x = mono(1, 2, 0, 0, coeff=Fraction(1, 2))
-    y = mono(0, 1, 1, 1, coeff=Fraction(4))
-    z = x * y
-    assert z.shape == (1, 3, 1, 1)
-    assert z.coeff == ValuePoly.rational(2)
-    assert x * y == z
+    # monomials have no product: the rules scale coefficients, never multiply terms
+    with pytest.raises(TypeError):
+        mono(1, 2, 0, 0, coeff=Fraction(1, 2)) * mono(0, 1, 1, 1, coeff=Fraction(4))
 
 
 def test_monomials_are_immutable_values_not_tuples():
@@ -127,9 +124,11 @@ def test_sum_arithmetic():
     x = integrand_sum(mono(1, 0, 0, 0))
     y = integrand_sum(mono(0, 2, 0, 0))
     assert (x + y).normalize() == (y + x).normalize()
-    assert (x - x).normalize().is_zero
+    with pytest.raises(TypeError):
+        x - x
     assert x.scale(2).terms[0].coeff == ValuePoly.rational(2)
-    assert (-x).terms[0].coeff == ValuePoly.rational(-1)
+    with pytest.raises(TypeError):
+        -x
 
 
 def test_sum_arithmetic_with_a_non_sum_raises_type_error():

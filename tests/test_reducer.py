@@ -381,7 +381,11 @@ def test_a_rule_that_returns_an_equal_copy_records_no_step(monkeypatch):
         return got + ONE - ONE, IntegrandSum(list(rest.terms))
 
     monkeypatch.setitem(RULES, "delta", copying_delta)
-    assert reduce(s) == expected
+    value, trace = reduce(s)
+    # a copy is a new object, so it is recorded as a step, and replay re-derives it
+    assert value == expected[0]
+    assert any(step.after == step.before for step in trace.steps)
+    assert trace.replay(s) == (value, IntegrandSum())
 
 
 def test_ibp_reads_ibp_step_at_call_time_on_a_lone_term(monkeypatch):

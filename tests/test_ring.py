@@ -1,8 +1,10 @@
 """Exact-coefficient ring: construction, arithmetic, substitution, rendering."""
 
+import ast
 import sys
 from fractions import Fraction
 from math import gcd
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -70,6 +72,32 @@ def test_bool_coefficients_rejected():
             ValuePoly.monomial(bad, w=1)
         with pytest.raises(TypeError):
             ValuePoly({(0, 0, 0, 0): bad})
+
+
+# (module file, function) where a float may appear; the quadrature oracle is the
+# one numeric path, and the set empties once it leaves the package
+FLOAT_ALLOWED = {("verify.py", "quadrature_oracle")}
+
+
+def _float_nodes(tree):
+    """Float literals and the name `float` under `tree`."""
+    return [node for node in ast.walk(tree)
+            if isinstance(node, ast.Constant) and isinstance(node.value, (float, complex))
+            or isinstance(node, ast.Name) and node.id == "float"]
+
+
+def test_no_float_enters_the_package_outside_the_quadrature_oracle():
+    found, inside = [], 0
+    for path in sorted((Path(__file__).resolve().parents[1] / "src" / "singint").glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        allowed = {id(node) for func in ast.walk(tree)
+                   if isinstance(func, ast.FunctionDef) and (path.name, func.name) in FLOAT_ALLOWED
+                   for node in _float_nodes(func)}
+        inside += len(allowed)
+        found += [f"{path.name}:{node.lineno}" for node in _float_nodes(tree)
+                  if id(node) not in allowed]
+    assert found == []
+    assert inside or not FLOAT_ALLOWED  # the walk does see the oracle's floats
 
 
 def test_float_coefficients_rejected():
@@ -228,6 +256,11 @@ def test_substitute_sums_far_apart_powers_without_building_them():
     assert (w(1, w=2) + w(9, w=far + 2) - w(1, w=far + 4)).substitute({"w": 3}) == 9
     with pytest.raises(ValueError, match="more than .* digits"):
         (ONE + w(1, w=far)).substitute({"w": 3})
+
+
+def test_substitute_counts_the_coefficient_against_a_far_power():
+    # 2^20000 alone has over 4 * 4300 bits, but the coefficient cancels it to 1
+    assert ValuePoly.monomial(Fraction(1, 2 ** 20000), w=20000).substitute({"w": 2}) == 1
 
 
 def test_substitute_without_a_digit_limit_builds_every_power():

@@ -44,6 +44,15 @@ binding of a and of d0.  What holds D(0) at w^-1 / 2 is the propagator, and
 its agreement with the Lebesgue integral, which the quadrature oracle of
 acceptance criterion 8 checks; off the shipped point the reduced D dD^2
 departs from the oracle.
+
+The reducer reads one more equal-time value: the contact value
+lambda_2 := [dD^2](0) of the delta term that integration by parts emits,
+which the commutative ring makes dD(0)^2 = 0.  Patched in the reducer
+alone, it leaves every order-1 total 0 and is the whole order-2 total,
+lambda_2 g^2 w^-1, plain, at a = 1/2, at a = -3/5 and under Veltman, while
+[dD^4](0) stays invisible.  So the cancellation fixes lambda_2 = 0, against
+integration by parts on D-free total derivatives: integral ddD dD^2, a
+third of the integral of d/dt(dD^3), reduces to 1/12, not 0.
 """
 
 from fractions import Fraction
@@ -395,3 +404,35 @@ def test_the_oracle_not_the_cancellation_holds_d_at_zero(monkeypatch):
     _on_curve(monkeypatch, Fraction(2), Fraction(2))
     assert order_check(2).passed
     assert reduce(d_dd_squared)[0] == Fraction(11, 24) * wpow(-2)
+
+
+# -- the contact value lambda_2 := [dD^2](0) ------------------------------------
+
+# (order, a binding, veltman) of the eight totals the contact values are held to
+CONTACT_CHECKS = [(order, a_binding, veltman) for order in (1, 2)
+                  for a_binding, veltman in ((None, False), (Fraction(1, 2), False),
+                                             (Fraction(-3, 5), False), (None, True))]
+SHIPPED_LOCAL_VALUE = reducer.local_value
+
+
+def _contact_totals(monkeypatch, k, lam):
+    """The eight totals with the reducer's [dD^k](0) patched to lam; the Wick
+    equal-time factors keep the shipped constants."""
+    def local_value(m=0, n=0, p=0):
+        return SHIPPED_LOCAL_VALUE(m, 0, p) * lam if n == k else SHIPPED_LOCAL_VALUE(m, n, p)
+
+    monkeypatch.setattr(reducer, "local_value", local_value)
+    return [order_check(order, a_binding=a_binding, veltman=veltman).actual
+            for order, a_binding, veltman in CONTACT_CHECKS]
+
+
+@pytest.mark.parametrize("lam", [Fraction(1), Fraction(1, 12), Fraction(-3)], ids=str)
+def test_the_order_2_total_is_the_contact_value_of_dd_squared(monkeypatch, lam):
+    # integration by parts on D-free total derivatives would want lambda_2 = 1/12
+    # (integral ddD dD^2); the order-g^2 cancellation fixes the shipped 0
+    totals = _contact_totals(monkeypatch, 2, lam)
+    assert totals == [ZERO] * 4 + [lam * G2 * wpow(-1)] * 4
+
+
+def test_the_order_checks_do_not_see_the_contact_value_of_dd_fourth(monkeypatch):
+    assert _contact_totals(monkeypatch, 4, Fraction(1)) == [ZERO] * 8
