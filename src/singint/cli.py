@@ -102,8 +102,8 @@ def _cmd_diagrams(args) -> int:
             "matchings": cls.multiplicity,
             "coefficient": cls.coefficient.substitute(bindings).render(),
             "local_value": cls.local_value.substitute(bindings).render(),
-            "contribution": (render_sum(lines.substitute(bindings)) if cls.shape != (0, 0, 0, 0)
-                             else local.substitute(bindings).render()),
+            "contribution": render_sum(
+                integrand_sum(mono(coeff=local), *lines).substitute(bindings)),
         })
     if args.json:
         print(json.dumps(rows, indent=2))

@@ -204,7 +204,11 @@ def _parity(state: State) -> State:
 
 
 def _ibp(state: State) -> State:
-    """One sweep: every term with dD^2 or more takes one ibp move."""
+    """One sweep: every term with dD^2 or more takes one ibp move.
+
+    With no such term the state comes back as it is, which ends `reduce`'s
+    ibp loop.
+    """
     value, pending = state
     terms = pending.terms
     if len(terms) == 1 and terms[0].n >= 2:
@@ -259,17 +263,18 @@ def reduce(s: IntegrandSum) -> tuple[ValuePoly, ReductionTrace]:
     steps: list[TraceStep] = []
     state: State = (ZERO, s)
 
-    def advance(rule: str) -> None:
+    def advance(rule: str) -> bool:
         nonlocal state
         after = RULES[rule](state)
-        if after[0] is not state[0] or after[1] is not state[1]:
-            steps.append(TraceStep(rule, state, after))
-            state = after
+        if after[0] is state[0] and after[1] is state[1]:
+            return False
+        steps.append(TraceStep(rule, state, after))
+        state = after
+        return True
 
     for rule in ("field_equation", "delta_squared", "delta", "parity"):
         advance(rule)
-    while any(t.n for t in state[1]):
-        advance("ibp")
+    while advance("ibp"):
         advance("delta")
     advance("base")
 

@@ -26,12 +26,13 @@ like the equal Fraction.  `substitute` binds on the pairs, and
 The public constructor validates its input.  Ring operations work on
 canonical operands, so they build their results without re-validating
 them: they only drop the coefficients that cancelled.  An int or Fraction
-operand of `+` or `*` is read as a pair, not wrapped in a ValuePoly.  Most
-operands the reducer meets are zero or a single term, and those take
-direct paths: a zero summand returns the other summand, a zero factor
-returns ZERO, two single terms multiply to their one product term, and a
-single term's power raises its coefficient and scales its exponents.  A
-ValuePoly is immutable, so returning an operand itself is safe.
+factor of `*` is read as a pair, not wrapped in a ValuePoly; `+`, `-` and
+`==` read one through `_coerce`.  Most operands the reducer meets are zero
+or a single term, and those take direct paths: a zero summand returns the
+other summand, a zero factor returns ZERO, two single terms multiply to
+their one product term, and a single term's power raises its coefficient
+and scales its exponents.  A ValuePoly is immutable, so returning an
+operand itself is safe.
 """
 
 from __future__ import annotations
@@ -133,19 +134,14 @@ class ValuePoly:
         return iter([(exps, Fraction(*pair)) for exps, pair in sorted(self._terms.items())])
 
     def __add__(self, other: "ValuePoly | RationalLike") -> "ValuePoly":
-        if isinstance(other, ValuePoly):
-            right = other._terms
-            if not right:
-                return self
-            if not self._terms:
-                return other
-        else:
-            pair = _q(other)
-            if not pair[0]:
-                return self
-            right = {_CONSTANT: pair}
+        if not isinstance(other, ValuePoly):
+            other = _coerce(other)
+        if not other._terms:
+            return self
+        if not self._terms:
+            return other
         merged = dict(self._terms)
-        for exps, coef in right.items():
+        for exps, coef in other._terms.items():
             if exps in merged:
                 merged[exps] = _qadd(merged[exps], coef)
             else:
@@ -199,10 +195,9 @@ class ValuePoly:
         if not exponent:
             return ONE
         if len(self._terms) == 1:
-            # coprime powers stay coprime, so the pair stays reduced
-            (((kw, kd0, ka, kg), (n, d)),) = self._terms.items()
+            (((kw, kd0, ka, kg), coef),) = self._terms.items()
             return _wrap({(kw * exponent, kd0 * exponent, ka * exponent, kg * exponent):
-                          (n ** exponent, d ** exponent)})
+                          _qpow(coef, exponent)})
         # start at the lowest set bit and square only while bits remain
         base = self
         while not exponent & 1:

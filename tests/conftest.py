@@ -1,13 +1,42 @@
-"""Shared hypothesis strategies and reference helpers for the tests."""
+"""Shared hypothesis strategies, reference helpers and a per-test time limit."""
 
+import faulthandler
+import os
 import warnings
 from fractions import Fraction
 from typing import Iterator, Sequence
 
+import pytest
 from hypothesis import strategies as st
 
-from singint import ZERO, IntegrandMonomial, IntegrandSum, ValuePoly, mono
+from singint import ZERO, IntegrandMonomial, IntegrandSum, ValuePoly, integrand, mono
 from singint.wick import Leg
+
+# seconds a test may run before the whole run exits with every thread's
+# traceback; over 7x the slowest test, criterion 9 (about 21 s on 2 vCPUs)
+TEST_TIME_LIMIT_S = 150
+
+_STDERR_FD = pytest.StashKey[int]()
+
+
+def pytest_configure(config):
+    # pytest captures fd 2 while a test runs, and a dump there would be lost
+    # with the process; the watchdog writes to a copy of the terminal's stderr
+    config.stash[_STDERR_FD] = os.dup(2)
+
+
+@pytest.fixture(autouse=True)
+def _time_limit(request):
+    """End the run if a test outlasts TEST_TIME_LIMIT_S.
+
+    faulthandler's watchdog is a C thread that needs no GIL, so it also stops
+    a test stuck in one long C call, such as a huge int power, which a
+    SIGALRM handler would only run after.
+    """
+    faulthandler.dump_traceback_later(TEST_TIME_LIMIT_S, exit=True,
+                                      file=request.config.stash[_STDERR_FD])
+    yield
+    faulthandler.cancel_dump_traceback_later()
 
 # Hypothesis imports this module to report a failing example; its libcst import
 # raises a DeprecationWarning, which under -W error ends the run with an
@@ -111,6 +140,26 @@ def total_derivative(m: int, n: int) -> IntegrandSum:
     if n:
         terms.append(mono(m, n - 1, 1, 0, coeff=n))
     return IntegrandSum(terms)
+
+
+def lebesgue_local_value(m: int = 0, n: int = 0, p: int = 0) -> ValuePoly:
+    """`local_value` with the Lebesgue contact values [dD^n](0) = lambda_n.
+
+    lambda_n is the mean of dD^n while dD crosses its jump from 1/2 to
+    -1/2: 2^-n / (n + 1) for even n, 0 for odd n.  The rules take
+    dD(0)^n = 0 for every n >= 1.
+    """
+    contact = Fraction(1, 2 ** n * (n + 1)) if n % 2 == 0 else 0
+    return integrand.local_value(m, 0, p) * contact
+
+
+def lebesgue_integral(m: int, n: int) -> ValuePoly:
+    """Lebesgue value of integral dt D^m dD^n for even n, m + n >= 1.
+
+    D^m dD^n = (2w)^-m 2^-n e^(-(m+n) w |t|), so the integral is
+    2^(1-m-n) w^-(m+1) / (m+n).
+    """
+    return ValuePoly.monomial(Fraction(2, 2 ** (m + n) * (m + n)), w=-(m + 1))
 
 
 # the Wick reference: `wick.enumerate_contractions` gives its matchings in this order

@@ -66,7 +66,7 @@ def test_factors_text_elides_unit_powers():
     assert mono(0, 0, 0, 0).factors_text() == ""
 
 
-def test_monomial_product_adds_powers_and_multiplies_coefficients():
+def test_monomial_product_raises_type_error():
     # monomials have no product: the rules scale coefficients, never multiply terms
     with pytest.raises(TypeError):
         mono(1, 2, 0, 0, coeff=Fraction(1, 2)) * mono(0, 1, 1, 1, coeff=Fraction(4))

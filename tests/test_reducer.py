@@ -371,7 +371,7 @@ def test_a_rule_result_equal_to_its_input_is_its_input(s, value):
             assert after[0] is value and after[1] is s, name
 
 
-def test_a_rule_that_returns_an_equal_copy_records_no_step(monkeypatch):
+def test_a_rule_that_returns_an_equal_copy_records_a_step(monkeypatch):
     s = parse("D dD^6 + D delta")
     expected = reduce(s)
     delta = RULES["delta"]

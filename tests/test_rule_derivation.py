@@ -53,12 +53,22 @@ lambda_2 g^2 w^-1, plain, at a = 1/2, at a = -3/5 and under Veltman, while
 [dD^4](0) stays invisible.  So the cancellation fixes lambda_2 = 0, against
 integration by parts on D-free total derivatives: integral ddD dD^2, a
 third of the integral of d/dt(dD^3), reduces to 1/12, not 0.
+
+That is the trade-off against Lebesgue.  With the Lebesgue contact values
+lambda_n = 2^-n / (n + 1) for even n and 0 for odd n, the mean of dD^n
+while dD crosses its jump, the same reducer gives the exact Lebesgue
+integral 2^(1-m-n) w^-(m+1) / (m+n) of every D^m dD^n, and every D-free
+total derivative integral ddD dD^n reduces to 0.  The shipped values keep
+the Lebesgue integral on the dD^2 column, but the dD^4 column lies
+2^-m w^-(m+1) / (8 (m+1)) below it: the contact term 3 [D^(m+1) dD^2](0)
+/ (m+1) at lambda_2 = 1/12, which the rules set to 0.
 """
 
 from fractions import Fraction
 
 import pytest
 
+from conftest import lebesgue_integral, lebesgue_local_value
 from singint import (A, D0, G, ZERO, IntegrandSum, ValuePoly, diagram_identities,
                      identity_suite, integrand_sum, mono, order_check, quadrature_oracle,
                      reduce, wpow)
@@ -436,3 +446,22 @@ def test_the_order_2_total_is_the_contact_value_of_dd_squared(monkeypatch, lam):
 
 def test_the_order_checks_do_not_see_the_contact_value_of_dd_fourth(monkeypatch):
     assert _contact_totals(monkeypatch, 4, Fraction(1)) == [ZERO] * 8
+
+
+# -- the Lebesgue contact map ---------------------------------------------------
+
+def test_the_lebesgue_contact_map_gives_the_lebesgue_integral(monkeypatch):
+    # under the same map every total derivative, D-free ones included, reduces
+    # to 0: test_verify.py's variant contact rule checks m <= 8, n <= 12
+    monkeypatch.setattr(reducer, "local_value", lebesgue_local_value)
+    for m in range(9):
+        for n in range(0, 21, 2):
+            if m + n:
+                assert reduce(integrand_sum(mono(m, n)))[0] == lebesgue_integral(m, n), (m, n)
+
+
+def test_the_shipped_values_leave_lebesgue_only_by_the_contact_of_dd_squared():
+    for m in range(9):
+        assert reduce(integrand_sum(mono(m, 2)))[0] == lebesgue_integral(m, 2), m
+        gap = ValuePoly.monomial(Fraction(1, 2 ** m * 8 * (m + 1)), w=-(m + 1))
+        assert lebesgue_integral(m, 4) - reduce(integrand_sum(mono(m, 4)))[0] == gap, m

@@ -4,13 +4,13 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import total_derivative
+from conftest import lebesgue_integral, lebesgue_local_value, total_derivative
 from singint import (A, D0, G, ONE, ZERO, D_AT_ZERO, IntegrandSum, ValuePoly,
                      diagram_classes, diagram_identities, identity_suite, integrand,
                      integrand_sum, mono, order_check, quadrature_oracle, reduce, reducer,
                      verify, wick)
 from singint.integrand import parse
-from singint.verify import INT_D_FOURTH, INT_D_SQUARED, LEBESGUE_DD_FOURTH
+from singint.verify import INT_D_FOURTH, INT_D_SQUARED
 
 
 def test_identity_suite_all_pass():
@@ -124,21 +124,13 @@ def test_naive_equal_time_value_leaves_a_d0_residue(monkeypatch):
 
 def test_variant_contact_rule_fixes_total_derivatives_but_breaks_order_2(monkeypatch):
     # the variant keeps dD(0)^n alive for even n, as eps^n delta -> delta/(n+1)
-    # with dD = -eps e^(-w|t|)/2; `ibp_step` reads the same `local_value`, so
-    # it emits its contact term for every even n.  Only the reducer sees the
-    # variant, since swapping wick.local_value too breaks order 1 by -1/6 g
-    rule_local_value = reducer.local_value
+    # with dD = -eps e^(-w|t|)/2: the Lebesgue contact values.  `ibp_step`
+    # reads the same `local_value`, so it emits its contact term for every
+    # even n.  Only the reducer sees the variant, since swapping
+    # wick.local_value too breaks order 1 by -1/6 g
+    monkeypatch.setattr(reducer, "local_value", lebesgue_local_value)
 
-    def variant_local_value(m=0, n=0, p=0):
-        if not n:
-            return rule_local_value(m, n, p)
-        if n % 2:
-            return ZERO
-        return rule_local_value(m, 0, p) * Fraction(1, 2 ** n * (n + 1))
-
-    monkeypatch.setattr(reducer, "local_value", variant_local_value)
-
-    assert reduce(integrand_sum(mono(n=4)))[0] == LEBESGUE_DD_FOURTH
+    assert reduce(integrand_sum(mono(n=4)))[0] == lebesgue_integral(0, 4)
     for m in range(9):
         for n in range(1, 13):
             assert reduce(total_derivative(m, n))[0].is_zero, (m, n)
@@ -291,12 +283,12 @@ def test_order_check_carries_a_trace_when_nonlocal():
 def test_frozen_base_values():
     assert INT_D_SQUARED == ValuePoly.monomial(Fraction(1, 4), w=-3)
     assert INT_D_FOURTH == ValuePoly.monomial(Fraction(1, 32), w=-5)
-    assert LEBESGUE_DD_FOURTH == ValuePoly.monomial(Fraction(1, 32), w=-1)
+    assert lebesgue_integral(0, 4) == ValuePoly.monomial(Fraction(1, 32), w=-1)
 
 
 def test_rule_versus_lebesgue_divergence_is_exact():
     rule_value, _ = reduce(integrand_sum(mono(0, 4, 0, 0)))
-    assert LEBESGUE_DD_FOURTH - rule_value == ValuePoly.monomial(Fraction(1, 8), w=-1)
+    assert lebesgue_integral(0, 4) - rule_value == ValuePoly.monomial(Fraction(1, 8), w=-1)
 
 
 def test_oracle_matches_closed_forms():
