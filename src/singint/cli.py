@@ -169,10 +169,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_idents.add_argument("--json", action="store_true")
     p_idents.set_defaults(func=_cmd_identities)
 
+    # argparse reads a dash-led value that is not a plain number as an option
+    a_help = "bind the quintic map parameter; a negative fraction goes as --a=-3/5"
     p_diag = sub.add_parser("diagrams", help="print the generated diagram classes")
     p_diag.add_argument("--order", type=int, choices=(1, 2), required=True)
-    p_diag.add_argument("--a", type=_fraction_arg, default=None, metavar="P/Q",
-                        help="bind the quintic map parameter")
+    p_diag.add_argument("--a", type=_fraction_arg, default=None, metavar="P/Q", help=a_help)
     p_diag.add_argument("--veltman", action="store_true",
                         help="bind d0 := 0 in the printed columns")
     p_diag.add_argument("--json", action="store_true")
@@ -180,7 +181,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="check that order totals vanish")
     p_verify.add_argument("--order", type=int, choices=(1, 2), default=None)
-    p_verify.add_argument("--a", type=_fraction_arg, default=None, metavar="P/Q")
+    p_verify.add_argument("--a", type=_fraction_arg, default=None, metavar="P/Q", help=a_help)
     p_verify.add_argument("--veltman", action="store_true",
                           help="set d0 := 0 before reduction")
     p_verify.add_argument("--trace", action="store_true")

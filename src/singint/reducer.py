@@ -178,29 +178,10 @@ def base_integral(m: int) -> ValuePoly:
     return ValuePoly.monomial(Fraction(2, m * 2 ** m), w=-(m + 1))
 
 
-# The rules as named state transforms, in pipeline order: `reduce` applies
-# them and `ReductionTrace.replay` re-runs them to check a recorded trace.
-
-def _field_equation(state: State) -> State:
-    value, pending = state
-    return value, substitute_field_equation(pending)
-
-
-def _delta_squared(state: State) -> State:
-    value, pending = state
-    got, rest = eval_dirac_squared(pending)
+def _fold(value: ValuePoly, folded: tuple[ValuePoly, IntegrandSum]) -> State:
+    """The state after adding a delta rule's (value, rest) pair to `value`."""
+    got, rest = folded
     return value + got, rest
-
-
-def _delta(state: State) -> State:
-    value, pending = state
-    got, rest = eval_dirac(pending)
-    return value + got, rest
-
-
-def _parity(state: State) -> State:
-    value, pending = state
-    return value, drop_odd_orientation(pending)
 
 
 def _ibp(state: State) -> State:
@@ -234,11 +215,17 @@ def _base(state: State) -> State:
     return value + got, IntegrandSum()
 
 
+# The rules as named state transforms, in pipeline order: `reduce` applies
+# them and `ReductionTrace.replay` re-runs them to check a recorded trace.
+# Each transform looks its rule function up in this module when it runs, so
+# a patched or wrapped `substitute_field_equation`, `eval_dirac_squared`,
+# `eval_dirac`, `drop_odd_orientation`, `ibp_step` or `base_integral` takes
+# effect at once.
 RULES: dict[str, Callable[[State], State]] = {
-    "field_equation": _field_equation,
-    "delta_squared": _delta_squared,
-    "delta": _delta,
-    "parity": _parity,
+    "field_equation": lambda state: (state[0], substitute_field_equation(state[1])),
+    "delta_squared": lambda state: _fold(state[0], eval_dirac_squared(state[1])),
+    "delta": lambda state: _fold(state[0], eval_dirac(state[1])),
+    "parity": lambda state: (state[0], drop_odd_orientation(state[1])),
     "ibp": _ibp,
     "base": _base,
 }

@@ -259,9 +259,9 @@ class ValuePoly:
         int-to-str digit limit raises the printer's error before any power
         past the input's own reach is built.  The bound holds
         after each binding: w^k a^k at w = 2, a = 1/2 raises for a k whose
-        2^k is too long to print, though the whole product is 1.  A term
-        that a binding zeroes is dropped at once, so no later binding
-        bounds it.
+        2^k is too long to print, though the whole product is 1.  Zero
+        values are bound first, and a term they zero is dropped at once, so
+        no other binding bounds it, in whatever order the bindings come.
         """
         for name in bindings:
             if name not in _SYMBOL_INDEX:
@@ -269,7 +269,7 @@ class ValuePoly:
         if "w" in bindings and _q(bindings["w"])[0] <= 0:
             raise ValueError("w must be substituted with a positive rational")
         terms = self._terms
-        for name, value in bindings.items():
+        for name, value in sorted(bindings.items(), key=lambda item: _q(item[1])[0] != 0):
             idx = _SYMBOL_INDEX[name]
             merged: dict[Exponents, list[tuple[int, Pair]]] = {}
             for exps, coef in terms.items():

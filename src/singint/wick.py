@@ -27,8 +27,8 @@ it never classifies on its own.  Cross-pair line values:
 `diagram_classes` counts each class's matchings in closed form and
 enumerates none.  A class is fixed by the self-pair split at each vertex,
 x qdot qdot, y qdot q and u qq pairs, and by its cross-line counts: X
-q.(t) q.(0), Y q.(t) q(0), Z q(t) q.(0) and U q(t) q(0).  Its shape is
-(U, Y + Z, X, 0) and its sign PINNED_DERIVATIVE_SIGN^(X + Z).
+q.(t) q.(0), Y q.(t) q(0), Z q(t) q.(0) and U q(t) q(0).  Its line shape
+and sign follow from those four counts alone, by `_cross_class`.
 
 One function, `_class_counts`, counts the classes of one vertex or of a
 pinned pair.  A vertex with k dotted and l plain legs splits into its self
@@ -65,12 +65,14 @@ has a zero local factor, and a disconnected one is flagged, not suppressed.
 
 Same-vertex pairs fold to D(0), dD(0) = 0, or -ddD(0) ring values.  Each
 pair of legs adds one to a field of a packed integer counter: its self-pair
-kind on its vertex, its line kind (D, dD, ddD), and its sign flip.  The
-recursion sums these pair effects along the path to each matching, and each
-call builds the fields of each distinct counter once and shares them between
-the matchings that reach it.  The ring is commutative, so the equal-time
-factor depends only on the counts of the self-pair kinds (qq, qdot q,
-qdot qdot), and each call builds it once per distinct count.
+kind on its vertex, or the cross-line count X, Y, Z or U that its kinds at
+t and at the pinned 0 name.  The recursion sums these pair effects along the
+path to each matching.  Each call reads the fields of each distinct counter
+once, with `_self_pairs` and `_cross_class` as `_class_counts` uses them,
+and shares them between the matchings that reach it.  The ring is
+commutative, so the equal-time factor depends only on the counts of the
+self-pair kinds (qq, qdot q, qdot qdot), and each call builds it once per
+distinct count.
 
 A call with 10 or more legs also builds the completions of each 6-leg
 remainder once and joins every later prefix that leaves the same remainder
@@ -150,7 +152,7 @@ def action_vertices(order: int) -> list[Vertex]:
 class Contraction(NamedTuple):
     pairing: tuple[tuple[Leg, Leg], ...]
     connected: bool
-    shape: tuple[int, int, int, int]  # cross lines (m, n, p, 0); all 0 if none
+    shape: tuple[int, int, int, int]  # cross lines by `_cross_class`; all 0 if none
     local_factor: ValuePoly          # equal-time pair values, couplings excluded
     self_pairs: tuple[tuple[str, str], ...]  # (vertex label, pair kind), sorted
     orientation_sign: int
@@ -160,12 +162,27 @@ class Contraction(NamedTuple):
 _SELF_KIND = {(Q, Q): "qq", (QDOT, Q): "qdot q", (QDOT, QDOT): "qdot qdot"}
 _SELF_INDEX = {kinds: i for i, kinds in enumerate(_SELF_KIND)}
 
+# cross-line counts X, Y, Z, U by (leg kind at t, leg kind at the pinned 0)
+_CROSS_INDEX = {(QDOT, QDOT): 0, (QDOT, Q): 1, (Q, QDOT): 2, (Q, Q): 3}
+
 # Fields of a matching's packed counter, lowest first: self pairs by
-# (vertex slot, kind index), then the cross lines m, n, p, then sign flips.
+# (vertex slot, kind index), then the cross lines X, Y, Z, U.
 _KINDS = len(_SELF_KIND)
-_LINE_FIELD = 2 * _KINDS
-_FLIP_FIELD = _LINE_FIELD + 3
-_FIELDS = _FLIP_FIELD + 1
+_CROSS_FIELD = 2 * _KINDS
+_FIELDS = _CROSS_FIELD + len(_CROSS_INDEX)
+
+
+def _self_pairs(label: str, counts: Iterable[int]) -> list[tuple[str, str]]:
+    """(label, pair kind) per same-vertex pair, counted by kind in `_SELF_KIND` order."""
+    return [(label, name) for name, n in zip(_SELF_KIND.values(), counts) for _ in range(n)]
+
+
+def _cross_class(X: int, Y: int, Z: int, U: int,
+                 sign: int) -> tuple[tuple[int, int, int, int], int]:
+    """(shape, sign) of X q.(t) q.(0), Y q.(t) q(0), Z q(t) q.(0) and U q(t) q(0)
+    lines: D, dD and ddD powers, and one pinned-derivative `sign` per dotted
+    leg at the pinned 0."""
+    return (U, Y + Z, X, 0), sign ** (X + Z)
 
 
 def _equal_time(kinds: tuple[int, ...]) -> ValuePoly:
@@ -250,23 +267,18 @@ def _contractions(v1: Vertex, v2: Vertex | None) -> list[Contraction]:
     # every field counts at most one per pair, so `bits` bits never overflow
     bits = (len(legs) // 2).bit_length()
     mask = (1 << bits) - 1
-    pinned_flip = PINNED_DERIVATIVE_SIGN < 0
     table: list[list] = [[None] * len(legs) for _ in legs]
     for i, a in enumerate(legs):
         for j in range(i + 1, len(legs)):
             b = legs[j]
             (va, _, ka), (vb, _, kb) = a, b
-            kinds = (ka, kb) if (ka, kb) in _SELF_KIND else (kb, ka)
             if va == vb:
-                field, flip = _KINDS * va + _SELF_INDEX[kinds], False
-            elif kinds == (Q, Q):
-                field, flip = _LINE_FIELD, False
-            elif kinds == (QDOT, QDOT):
-                field, flip = _LINE_FIELD + 2, pinned_flip
+                kinds = (ka, kb) if (ka, kb) in _SELF_KIND else (kb, ka)
+                field = _KINDS * va + _SELF_INDEX[kinds]
             else:
-                # only a dotted leg on the pinned vertex flips the line
-                field, flip = _LINE_FIELD + 1, pinned_flip and (va if ka == QDOT else vb) == 1
-            table[i][j] = ((a, b), (1 << bits * field) + (flip << bits * _FLIP_FIELD))
+                # legs come in slot order, so a is at t and b at the pinned 0
+                field = _CROSS_FIELD + _CROSS_INDEX[ka, kb]
+            table[i][j] = ((a, b), 1 << bits * field)
 
     # the fields of each distinct counter, and the equal-time factor of each
     # distinct self-pair kind count, built once per call
@@ -281,12 +293,11 @@ def _contractions(v1: Vertex, v2: Vertex | None) -> list[Contraction]:
         local = locals_.get(kinds)
         if local is None:
             local = locals_[kinds] = _equal_time(kinds)
-        selfs = sorted((labels[slot], name)
-                       for slot in (0, 1) for k, name in enumerate(_SELF_KIND.values())
-                       for _ in range(count[_KINDS * slot + k]))
-        m, n, p = count[_LINE_FIELD:_FLIP_FIELD]
-        sign = -1 if count[_FLIP_FIELD] & 1 else 1
-        return (v2 is None or m + n + p > 0, (m, n, p, 0), local, tuple(selfs), sign)
+        selfs = sorted(_self_pairs(labels[0], count[:_KINDS])
+                       + _self_pairs(labels[1], count[_KINDS:_CROSS_FIELD]))
+        cross = count[_CROSS_FIELD:]
+        shape, sign = _cross_class(*cross, PINNED_DERIVATIVE_SIGN)
+        return (v2 is None or any(cross), shape, local, tuple(selfs), sign)
 
     def leaf(pairing: tuple, key: int) -> None:
         got = fields.get(key)
@@ -347,9 +358,7 @@ def _class_counts(vertices: Sequence[tuple[str, tuple[str, ...]]],
             for y in range(min(k - 2 * x, l) + 1):
                 for u in range((l - y) // 2 + 1):
                     a, b = k - 2 * x - y, l - y - 2 * u
-                    selfs = []
-                    for name, n in zip(_SELF_KIND.values(), (u, y, x)):
-                        selfs += [(label, name)] * n
+                    selfs = _self_pairs(label, (u, y, x))
                     ways = factorial(k) * factorial(l) // (
                         2 ** (x + u) * factorial(x) * factorial(u) * factorial(y)
                         * factorial(a) * factorial(b))
@@ -372,7 +381,7 @@ def _class_counts(vertices: Sequence[tuple[str, tuple[str, ...]]],
             for X in range(max(0, a1 - b2, a2 - b1), min(a1, a2) + 1):
                 Y, Z = a1 - X, a2 - X
                 U = b1 - Z
-                key = (selfs, (U, Y + Z, X, 0), sign ** (X + Z))
+                key = (selfs, *_cross_class(X, Y, Z, U, sign))
                 counts[key] = counts.get(key, 0) + ways // (
                     factorial(X) * factorial(Y) * factorial(Z) * factorial(U))
     return counts

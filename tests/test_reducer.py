@@ -394,3 +394,19 @@ def test_ibp_reads_ibp_step_at_call_time_on_a_lone_term(monkeypatch):
     _ibp_contact_dropped(monkeypatch)
     assert RULES["ibp"](state)[1] == parse("-w^2 D^2")
     assert reduce(state[1])[0] == poly(Fraction(-1, 4), w=-1)
+
+
+@pytest.mark.parametrize("name", ["substitute_field_equation", "eval_dirac_squared",
+                                  "eval_dirac", "drop_odd_orientation"])
+def test_rules_read_their_rule_function_at_call_time(monkeypatch, name):
+    s = parse("ddD^2 D + ddD delta + 1/3 D dD^6 + dD^3")  # every rule fires on it
+    expected = reduce(s)
+    rule_function, calls = getattr(reducer, name), []
+
+    def counting(pending):
+        calls.append(pending)
+        return rule_function(pending)
+
+    monkeypatch.setattr(reducer, name, counting)
+    assert reduce(s) == expected
+    assert calls

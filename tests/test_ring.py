@@ -245,8 +245,10 @@ def test_substitute_bounds_a_term_under_two_bindings():
 
 
 def test_substitute_drops_a_term_a_binding_zeroes():
-    # d0 = 0 zeroes the term before w = 3 would bound 3^300000000000
-    assert ValuePoly.monomial(1, w=-300000000000, d0=1).substitute({"d0": 0, "w": 3}) == 0
+    # d0 = 0 zeroes the term before w = 3 would bound 3^300000000000, in either order
+    term = ValuePoly.monomial(1, w=-300000000000, d0=1)
+    assert term.substitute({"d0": 0, "w": 3}) == 0
+    assert term.substitute({"w": 3, "d0": 0}) == 0
 
 
 def test_substitute_sums_far_apart_powers_without_building_them():

@@ -252,16 +252,20 @@ def residue_polynomials():
     return polys
 
 
+def _per_coefficient(poly):
+    """Each ring coefficient of a polynomial in c, given by its ring coefficients
+    lowest power first, as a polynomial in c over Fractions."""
+    exponents = {exps for coefficient in poly for exps, _ in coefficient.items()}
+    return [[coefficient.coefficient_of(*exps) for coefficient in poly] for exps in exponents]
+
+
 def _common_factor(residue_polynomials, family):
     """The monic gcd over Fractions of every ring coefficient of the family's
     residues, each read as a polynomial in c."""
     per_coefficient = []
     for (name, *_), (poly, *_) in residue_polynomials.items():
-        if name != family:
-            continue
-        exponents = {exps for coefficient in poly for exps, _ in coefficient.items()}
-        per_coefficient += [[coefficient.coefficient_of(*exps) for coefficient in poly]
-                            for exps in exponents]
+        if name == family:
+            per_coefficient += _per_coefficient(poly)
     assert per_coefficient
     return _monic_gcd(per_coefficient)
 
@@ -376,6 +380,15 @@ def test_ibp_contact_weight_fails_identity_rows(monkeypatch):
 # -- the one curve the order checks leave free --------------------------------
 
 CURVE = (Fraction(0), Fraction(5, 3), Fraction(2), Fraction(-7, 2))
+# three mu probes fix a residue of degree 2 in mu, and a fourth checks it
+MU_PROBES = (Fraction(-1), Fraction(1, 2), Fraction(3))
+MU_CHECK_PROBE = Fraction(-5, 2)
+
+# (order, a binding, veltman) of the eight totals the line and the contact
+# values are held to
+TOTALS = [(order, a_binding, veltman) for order in (1, 2)
+          for a_binding, veltman in ((None, False), (Fraction(1, 2), False),
+                                     (Fraction(-3, 5), False), (None, True))]
 
 
 def _on_curve(monkeypatch, nu, mu):
@@ -406,6 +419,23 @@ def test_off_the_line_every_residue_carries_mu_minus_nu(monkeypatch, nu):
             == -gap * (mu + 2 * nu * nu - nu) / 16 * G2 * wpow(-1))
 
 
+@pytest.mark.parametrize("nu", CURVE + (Fraction(7, 3),), ids=str)
+def test_mu_minus_nu_divides_every_residue_as_a_polynomial_in_mu(monkeypatch, nu):
+    # at nu = 0 the order-1 residues are 0 and the others carry (mu - nu)^2,
+    # so the test asks for divisibility, not for mu - nu as the exact gcd
+    for order, a_binding, veltman in TOTALS:
+        at = {}
+        for mu in MU_PROBES + (MU_CHECK_PROBE,):
+            _on_curve(monkeypatch, nu, mu)
+            at[mu] = order_check(order, a_binding=a_binding, veltman=veltman).actual
+        poly = _interpolate([(mu, at[mu]) for mu in MU_PROBES])
+        assert at[MU_CHECK_PROBE] == _evaluate(poly, MU_CHECK_PROBE)
+        for coefficient in _per_coefficient(poly):
+            assert _remainder(coefficient, [-nu, 1]) == []
+        # off the line the order-2 totals fail, so the divisions are not vacuous
+        assert order == 1 or any(not coefficient.is_zero for coefficient in poly)
+
+
 def test_the_oracle_not_the_cancellation_holds_d_at_zero(monkeypatch):
     d_dd_squared = integrand_sum(mono(1, 2))
     for omega in (0.5, 1.0, 2.0):
@@ -418,10 +448,6 @@ def test_the_oracle_not_the_cancellation_holds_d_at_zero(monkeypatch):
 
 # -- the contact value lambda_2 := [dD^2](0) ------------------------------------
 
-# (order, a binding, veltman) of the eight totals the contact values are held to
-CONTACT_CHECKS = [(order, a_binding, veltman) for order in (1, 2)
-                  for a_binding, veltman in ((None, False), (Fraction(1, 2), False),
-                                             (Fraction(-3, 5), False), (None, True))]
 SHIPPED_LOCAL_VALUE = reducer.local_value
 
 
@@ -433,7 +459,7 @@ def _contact_totals(monkeypatch, k, lam):
 
     monkeypatch.setattr(reducer, "local_value", local_value)
     return [order_check(order, a_binding=a_binding, veltman=veltman).actual
-            for order, a_binding, veltman in CONTACT_CHECKS]
+            for order, a_binding, veltman in TOTALS]
 
 
 @pytest.mark.parametrize("lam", [Fraction(1), Fraction(1, 12), Fraction(-3)], ids=str)
