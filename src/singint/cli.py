@@ -1,6 +1,8 @@
 """Command line front end: reduce, identities, diagrams, verify.
 
 Expressions are parsed by `singint.integrand`, which documents their syntax.
+Each command builds one payload, a dict or a list of rows with every value
+rendered; `--json` prints it, and the text output is written from it.
 Exit codes: 0 all good, 1 a check failed, 2 unusable input (usage, parse,
 rule-domain, input-power or number-size error).
 """
@@ -20,11 +22,6 @@ from .verify import diagram_identities, identity_suite, order_check, symbol_bind
 from .wick import diagram_classes, order_contribution
 
 
-def _state_text(state) -> str:
-    value, pending = state
-    return f"{value.render()} | {render_sum(pending)}"
-
-
 def _trace_json(trace: ReductionTrace) -> list[dict]:
     return [{"rule": step.rule,
              "before": {"value": step.before[0].render(),
@@ -34,46 +31,41 @@ def _trace_json(trace: ReductionTrace) -> list[dict]:
             for step in trace.steps]
 
 
-def _check_json(result, with_trace: bool) -> dict:
-    out = {"name": result.name,
-           "expected": result.expected.render(),
-           "actual": result.actual.render(),
-           "passed": result.passed}
-    if with_trace and result.trace is not None:
-        out["trace"] = _trace_json(result.trace)
-    return out
+def _step_text(step: dict) -> str:
+    after = step["after"]
+    return f"{step['rule']}: {after['value']} | {after['integrand']}"
+
+
+def _emit(payload, args, lines: list[str]) -> None:
+    """Print the payload under --json, else the text lines written from it."""
+    print(json.dumps(payload, indent=2) if args.json else "\n".join(lines))
 
 
 def _report_checks(checks, args) -> int:
-    if args.json:
-        print(json.dumps([_check_json(c, args.trace) for c in checks], indent=2))
-    else:
-        for c in checks:
-            if c.passed:
-                print(f"PASS  {c.name}  ->  {c.actual.render()}")
-            else:
-                print(f"FAIL  {c.name}  ->  expected {c.expected.render()}, "
-                      f"got {c.actual.render()}")
-            if args.trace and c.trace is not None:
-                for step in c.trace.steps:
-                    print(f"      {step.rule}: {_state_text(step.after)}")
-    return 0 if all(c.passed for c in checks) else 1
+    rows = []
+    for c in checks:
+        row = {"name": c.name, "expected": c.expected.render(),
+               "actual": c.actual.render(), "passed": c.passed}
+        if args.trace and c.trace is not None:
+            row["trace"] = _trace_json(c.trace)
+        rows.append(row)
+    lines = []
+    for row in rows:
+        lines.append(f"PASS  {row['name']}  ->  {row['actual']}" if row["passed"] else
+                     f"FAIL  {row['name']}  ->  expected {row['expected']}, got {row['actual']}")
+        lines += [f"      {_step_text(step)}" for step in row.get("trace", ())]
+    _emit(rows, args, lines)
+    return 0 if all(row["passed"] for row in rows) else 1
 
 
 def _cmd_reduce(args) -> int:
     s = parse(args.expression)
     value, trace = reduce(s)
     shown = value.substitute({"w": args.omega}) if args.omega is not None else value
-    if args.json:
-        payload = {"input": render_sum(s), "result": shown.render()}
-        if args.trace:
-            payload["trace"] = _trace_json(trace)
-        print(json.dumps(payload, indent=2))
-    else:
-        if args.trace:
-            for step in trace.steps:
-                print(f"{step.rule}: {_state_text(step.after)}")
-        print(shown.render())
+    payload = {"input": render_sum(s), "result": shown.render()}
+    if args.trace:
+        payload["trace"] = _trace_json(trace)
+    _emit(payload, args, [*map(_step_text, payload.get("trace", ())), payload["result"]])
     return 0
 
 
@@ -105,13 +97,10 @@ def _cmd_diagrams(args) -> int:
             "contribution": render_sum(
                 integrand_sum(mono(coeff=local), *lines).substitute(bindings)),
         })
-    if args.json:
-        print(json.dumps(rows, indent=2))
-        return 0
     header = list(rows[0])
     widths = [max(len(h), *(len(str(row[h])) for row in rows)) for h in header]
-    for row in [dict(zip(header, header))] + rows:
-        print("  ".join(str(row[h]).ljust(w) for h, w in zip(header, widths)))
+    _emit(rows, args, ["  ".join(str(row[h]).ljust(w) for h, w in zip(header, widths))
+                       for row in [dict(zip(header, header))] + rows])
     return 0
 
 

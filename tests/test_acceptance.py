@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from conftest import (integrand_sums, perfect_matchings, rationals, reducible_sums,
                       value_polys)
-from singint import (A, D0, G, ONE, W, ZERO, D_AT_ZERO, ValuePoly,
+from singint import (A, D0, G, ONE, W, ZERO, D_AT_ZERO, IntegrandSum, ValuePoly,
                      action_vertices, diagram_classes, diagram_identities,
                      identity_suite, integrand_sum, mono, order_check,
                      quadrature_oracle, reduce)
@@ -221,8 +221,10 @@ def _prop_reduce_linear(x, y, c):
 @given(integrand_sums())
 @settings(max_examples=1000, deadline=None)
 def _prop_normalize_idempotent(s):
-    once = s.normalize()
-    assert once.normalize() == once
+    # every sum is built canonical, so neither the order of its terms nor a
+    # coefficient split over two terms of one shape shows in the result
+    assert IntegrandSum(s.terms[::-1]) == s
+    assert IntegrandSum([half for t in s for half in (t.scaled(HALF),) * 2]) == s
 
 
 @given(st.integers(min_value=0, max_value=6))
@@ -235,7 +237,7 @@ def _prop_matching_counts(k):
 @given(integrand_sums())
 @settings(max_examples=1000, deadline=None)
 def _prop_parser_round_trip(s):
-    assert parse(render_sum(s)) == s.normalize()
+    assert parse(render_sum(s)) == s
 
 
 def test_9_property_suites_thousand_cases_each():

@@ -188,11 +188,14 @@ def test_reduce_command_result_too_long_to_print_exit_2(capsys):
     # literals is under it, but past the digit limit of int-to-str conversion,
     # and so is the sum of two 4300-digit exponents of one ring symbol; 3 to
     # the power 3e11 is past it too, and has to fail before it is built, also
-    # where two terms reduce to neighbouring powers of w
+    # where two terms reduce to neighbouring powers of w; the text output is
+    # written from the --json payload, so an input too long to print is
+    # refused in text too, also where it reduces to 0
     big = "7" * 3000
     nines = "9" * 4300
     expressions = [["D^20000"], [f"{big} {big} D"], ["D w^-300000000000", "--omega", "3"],
-                   ["D w^-300000000000 + D^2 w^-300000000000", "--omega", "3"]]
+                   ["D w^-300000000000 + D^2 w^-300000000000", "--omega", "3"],
+                   [f"{big} {big} dD"], [f"{big} {big} dD", "--trace"]]
     expressions += [[f"{name}^{nines} {name}^{nines} D"] for name in ("w", "a", "d0", "g")]
     argvs = [argv for expression in expressions
              for argv in (["reduce", *expression], ["reduce", "--json", *expression])]
@@ -441,6 +444,32 @@ def test_report_marks_failures_and_exit_1(capsys):
     assert code == 1
     assert "PASS  fine" in out
     assert "FAIL  made-up  ->  expected 0, got 1" in out
+
+
+def test_report_marks_failures_in_json_and_exit_1(capsys):
+    bad = CheckResult(name="made-up", expected=ZERO,
+                      actual=ValuePoly.rational(1), passed=False, trace=None)
+    good = CheckResult(name="fine", expected=ZERO, actual=ZERO,
+                       passed=True, trace=None)
+    code = _report_checks([good, bad], argparse.Namespace(json=True, trace=False))
+    rows = json.loads(capsys.readouterr().out)
+    assert code == 1
+    assert next(row for row in rows if row["name"] == "made-up") == {
+        "name": "made-up", "expected": "0", "actual": "1", "passed": False}
+
+
+def test_report_prints_the_trace_under_a_failure(capsys):
+    value, trace = reduce(parse("dD^4"))
+    bad = CheckResult(name="made-up", expected=ZERO, actual=value, passed=False, trace=trace)
+    code = _report_checks([bad], argparse.Namespace(json=False, trace=True))
+    assert code == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "FAIL  made-up  ->  expected 0, got -3/32 w^-1",
+        "      ibp: 0 | -3 w^2 D^2 dD^2",
+        "      ibp: 0 | -w^2 D^3 delta + w^4 D^4",
+        "      delta: -1/8 w^-1 | w^4 D^4",
+        "      base: -3/32 w^-1 | 0",
+    ]
 
 
 def test_cli_import_does_not_load_scipy():
