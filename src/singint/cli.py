@@ -23,12 +23,12 @@ from .wick import diagram_classes, order_contribution
 
 
 def _trace_json(trace: ReductionTrace) -> list[dict]:
-    return [{"rule": step.rule,
-             "before": {"value": step.before[0].render(),
-                        "integrand": render_sum(step.before[1])},
-             "after": {"value": step.after[0].render(),
-                       "integrand": render_sum(step.after[1])}}
-            for step in trace.steps]
+    # each step's `before` is the previous step's `after`, so each state renders once
+    states = [{"value": value.render(), "integrand": render_sum(pending)}
+              for value, pending in [step.before for step in trace.steps[:1]]
+              + [step.after for step in trace.steps]]
+    return [{"rule": step.rule, "before": before, "after": after}
+            for step, before, after in zip(trace.steps, states, states[1:])]
 
 
 def _step_text(step: dict) -> str:

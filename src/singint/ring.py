@@ -198,19 +198,12 @@ class ValuePoly:
             (((kw, kd0, ka, kg), coef),) = self._terms.items()
             return _wrap({(kw * exponent, kd0 * exponent, ka * exponent, kg * exponent):
                           _qpow(coef, exponent)})
-        # start at the lowest set bit and square only while bits remain
-        base = self
-        while not exponent & 1:
-            base = base * base
-            exponent >>= 1
-        result = base
-        exponent >>= 1
-        while exponent:
-            base = base * base
-            if exponent & 1:
-                result = result * base
-            exponent >>= 1
-        return result
+        if exponent == 1 or not self._terms:
+            return self
+        # halving: x^k = (x^(k >> 1))^2, times x when k is odd
+        half = self ** (exponent >> 1)
+        square = half * half
+        return square * self if exponent & 1 else square
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, bool):  # unequal, as 1.0 is: no bool enters the ring

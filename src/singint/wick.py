@@ -74,11 +74,11 @@ commutative, so the equal-time factor depends only on the counts of the
 self-pair kinds (qq, qdot q, qdot qdot), and each call builds it once per
 distinct count.
 
-A call with 10 or more legs also builds the completions of each 6-leg
-remainder once and joins every later prefix that leaves the same remainder
-to them: in a 12-leg call 693 prefixes reach only 84 remainders.  The memo
-is a local of the call.  Below 10 legs no remainder repeats, so it is not
-used there.
+Every call also builds the completions of each 6-leg remainder once and
+joins every later prefix that leaves the same remainder to them: in a 12-leg
+call 693 prefixes reach only 84 remainders, in a 10-leg call 63 reach 28,
+and an 8-leg call reaches each of its 7 once.  The memo is a local of the
+call.
 
 A 12-leg call keeps ~21,000 containers, a pairing tuple and a
 `Contraction` per matching, and with the cyclic collector on they set off
@@ -160,7 +160,8 @@ class Contraction(NamedTuple):
 
 # same-vertex pair kinds in `local_value` argument order: D(0), dD(0), ddD(0)
 _SELF_KIND = {(Q, Q): "qq", (QDOT, Q): "qdot q", (QDOT, QDOT): "qdot qdot"}
-_SELF_INDEX = {kinds: i for i, kinds in enumerate(_SELF_KIND)}
+# the `_SELF_KIND` index of a same-vertex pair, read in either leg order
+_SELF_INDEX = {pair: i for i, kinds in enumerate(_SELF_KIND) for pair in (kinds, kinds[::-1])}
 
 # cross-line counts X, Y, Z, U by (leg kind at t, leg kind at the pinned 0)
 _CROSS_INDEX = {(QDOT, QDOT): 0, (QDOT, Q): 1, (Q, QDOT): 2, (Q, Q): 3}
@@ -195,21 +196,24 @@ def _equal_time(kinds: tuple[int, ...]) -> ValuePoly:
 
 
 def _extend(rest: tuple[int, ...], pairing: tuple, acc: int,
-            table: list[list], leaf: Callable[[tuple, int], None],
-            memo: dict | None = None) -> None:
+            table: list[list], leaf: Callable[[tuple, int], None], memo: dict) -> None:
     """Pass every completion of `pairing` over the leg indices `rest` to `leaf`.
 
     Completions come in matching order: the first leg paired with each later
     leg in turn, each followed by the completions of what is left.  Each comes
-    with `acc` plus the deltas of the pairs it adds.  `rest` is ascending, so
+    with `acc` plus the deltas of the pairs it adds, and an empty `rest` has
+    the one completion `pairing` itself.  `rest` is ascending, so
     `table[i][j]` holds the (pair, delta) of legs i < j.
 
-    With a `memo`, the 15 completions of each 6-leg remainder are built once,
-    as (tail pairs, tail delta), and every later prefix that leaves the same
+    The 15 completions of each 6-leg remainder are built once, as (tail
+    pairs, tail delta) in `memo`, and every later prefix that leaves the same
     remainder joins that list.  A 12-leg call reaches 84 such remainders
     from 693 prefixes, a 10-leg call 28 from 63, an 8-leg call each of its 7
     once.  Memoizing 4- or 8-leg remainders instead was slower.
     """
+    if not rest:
+        leaf(pairing, acc)
+        return
     row = table[rest[0]]
     for i in range(1, len(rest)):
         pair, delta = row[rest[i]]
@@ -217,102 +221,86 @@ def _extend(rest: tuple[int, ...], pairing: tuple, acc: int,
         if len(remaining) == 2:
             last, last_delta = table[remaining[0]][remaining[1]]
             leaf(pairing + (pair, last), acc + delta + last_delta)
-        elif memo is not None and len(remaining) == 6:
+        elif len(remaining) == 6:
             tails = memo.get(remaining)
             if tails is None:
-                tails = memo[remaining] = _tails(remaining, table)
+                tails = memo[remaining] = []
+                _extend(remaining, (), 0, table,
+                        lambda tail, d: tails.append((tail, d)), memo)
             prefix, base = pairing + (pair,), acc + delta
             for tail, d in tails:
                 leaf(prefix + tail, base + d)
-        elif remaining:
-            _extend(remaining, pairing + (pair,), acc + delta, table, leaf, memo)
         else:
-            leaf(pairing + (pair,), acc + delta)
-
-
-def _tails(rest: tuple[int, ...], table: list[list]) -> list[tuple[tuple, int]]:
-    """Every completion over `rest` as (pairs, delta), in matching order."""
-    tails: list[tuple[tuple, int]] = []
-    _extend(rest, (), 0, table, lambda tail, delta: tails.append((tail, delta)))
-    return tails
+            _extend(remaining, pairing + (pair,), acc + delta, table, leaf, memo)
 
 
 def enumerate_contractions(v1: Vertex, v2: Vertex | None = None) -> list[Contraction]:
     """Every perfect matching of the legs of one vertex or of a pinned pair.
 
-    The cyclic collector is paused for the call and then put back as it
-    was, also when the call raises.  `gc.disable` acts on the whole
+    The cyclic collector is paused for the whole call and then put back as
+    it was, also when the call raises.  `gc.disable` acts on the whole
     process: another thread's allocations go uncollected for the ~10 ms of
     a 12-leg call.  The generation-0 pass that the call's allocations have
     earned then runs once, over the live result, at the caller's next
-    container allocation.
+    container allocation.  The 6-leg remainder memo of `_extend` lives for
+    the call only.
     """
     was_enabled = gc.isenabled()
     gc.disable()
     try:
-        return _contractions(v1, v2)
+        legs: list[Leg] = [(0, i, kind) for i, kind in enumerate(v1.legs)]
+        if v2 is not None:
+            legs += [(1, i, kind) for i, kind in enumerate(v2.legs)]
+        if len(legs) % 2:
+            raise ValueError("odd leg total admits no perfect matching")
+
+        labels = (v1.label, v2.label if v2 is not None else v1.label)
+        # every field counts at most one per pair, so `bits` bits never overflow
+        bits = (len(legs) // 2).bit_length()
+        mask = (1 << bits) - 1
+        table: list[list] = [[None] * len(legs) for _ in legs]
+        for i, a in enumerate(legs):
+            for j in range(i + 1, len(legs)):
+                b = legs[j]
+                (va, _, ka), (vb, _, kb) = a, b
+                if va == vb:
+                    field = _KINDS * va + _SELF_INDEX[ka, kb]
+                else:
+                    # legs come in slot order, so a is at t and b at the pinned 0
+                    field = _CROSS_FIELD + _CROSS_INDEX[ka, kb]
+                table[i][j] = ((a, b), 1 << bits * field)
+
+        # the fields of each distinct counter, and the equal-time factor of each
+        # distinct self-pair kind count, built once per call
+        fields: dict[int, tuple] = {}
+        locals_: dict[tuple[int, ...], ValuePoly] = {}
+        out: list[Contraction] = []
+        new = tuple.__new__  # skips the Python frame of Contraction.__new__
+
+        def derive(key: int) -> tuple:
+            count = [key >> bits * f & mask for f in range(_FIELDS)]
+            kinds = tuple(count[k] + count[_KINDS + k] for k in range(_KINDS))
+            local = locals_.get(kinds)
+            if local is None:
+                local = locals_[kinds] = _equal_time(kinds)
+            selfs = sorted(_self_pairs(labels[0], count[:_KINDS])
+                           + _self_pairs(labels[1], count[_KINDS:_CROSS_FIELD]))
+            cross = count[_CROSS_FIELD:]
+            shape, sign = _cross_class(*cross, PINNED_DERIVATIVE_SIGN)
+            return (v2 is None or any(cross), shape, local, tuple(selfs), sign)
+
+        def leaf(pairing: tuple, key: int) -> None:
+            got = fields.get(key)
+            if got is None:
+                got = fields[key] = derive(key)
+            connected, shape, local, selfs, sign = got
+            out.append(new(Contraction, (pairing, connected, shape, local, selfs, sign)))
+
+        _extend(tuple(range(len(legs))), (), 0, table, leaf, {})
+        return out
     finally:
         if was_enabled:
             gc.enable()
-
-
-def _contractions(v1: Vertex, v2: Vertex | None) -> list[Contraction]:
-    legs: list[Leg] = [(0, i, kind) for i, kind in enumerate(v1.legs)]
-    if v2 is not None:
-        legs += [(1, i, kind) for i, kind in enumerate(v2.legs)]
-    if len(legs) % 2:
-        raise ValueError("odd leg total admits no perfect matching")
-
-    labels = (v1.label, v2.label if v2 is not None else v1.label)
-    # every field counts at most one per pair, so `bits` bits never overflow
-    bits = (len(legs) // 2).bit_length()
-    mask = (1 << bits) - 1
-    table: list[list] = [[None] * len(legs) for _ in legs]
-    for i, a in enumerate(legs):
-        for j in range(i + 1, len(legs)):
-            b = legs[j]
-            (va, _, ka), (vb, _, kb) = a, b
-            if va == vb:
-                kinds = (ka, kb) if (ka, kb) in _SELF_KIND else (kb, ka)
-                field = _KINDS * va + _SELF_INDEX[kinds]
-            else:
-                # legs come in slot order, so a is at t and b at the pinned 0
-                field = _CROSS_FIELD + _CROSS_INDEX[ka, kb]
-            table[i][j] = ((a, b), 1 << bits * field)
-
-    # the fields of each distinct counter, and the equal-time factor of each
-    # distinct self-pair kind count, built once per call
-    fields: dict[int, tuple] = {}
-    locals_: dict[tuple[int, ...], ValuePoly] = {}
-    out: list[Contraction] = []
-    new = tuple.__new__  # skips the Python frame of Contraction.__new__
-
-    def derive(key: int) -> tuple:
-        count = [key >> bits * f & mask for f in range(_FIELDS)]
-        kinds = tuple(count[k] + count[_KINDS + k] for k in range(_KINDS))
-        local = locals_.get(kinds)
-        if local is None:
-            local = locals_[kinds] = _equal_time(kinds)
-        selfs = sorted(_self_pairs(labels[0], count[:_KINDS])
-                       + _self_pairs(labels[1], count[_KINDS:_CROSS_FIELD]))
-        cross = count[_CROSS_FIELD:]
-        shape, sign = _cross_class(*cross, PINNED_DERIVATIVE_SIGN)
-        return (v2 is None or any(cross), shape, local, tuple(selfs), sign)
-
-    def leaf(pairing: tuple, key: int) -> None:
-        got = fields.get(key)
-        if got is None:
-            got = fields[key] = derive(key)
-        connected, shape, local, selfs, sign = got
-        out.append(new(Contraction, (pairing, connected, shape, local, selfs, sign)))
-
-    if legs:
-        # the 6-leg tail memo lives for this call only; below 10 legs it never hits
-        memo = {} if len(legs) >= 10 else None
-        _extend(tuple(range(len(legs))), (), 0, table, leaf, memo)
-    else:
-        leaf((), 0)
-    return out
 
 
 class DiagramClass(NamedTuple):
@@ -442,20 +430,15 @@ def diagram_classes(order: int) -> list[DiagramClass]:
                          tuple((v.label, v.legs, v.jacobian) for v in pairs),
                          PINNED_DERIVATIVE_SIGN)
     # the weight of one matching per slot, and the equal-time factor of each
-    # distinct self-pair kind count, once per call
+    # distinct self-pair kind count in the skeleton, once per call
     weights: dict[tuple[int, ...], ValuePoly] = {(i,): v.coupling for i, v in enumerate(singles)}
     for i, v1 in enumerate(pairs):
         for j in range(i, len(pairs)):
             weights[i, j] = CUMULANT_PREFACTOR * v1.coupling * pairs[j].coupling
-    locals_: dict[tuple[int, int, int], ValuePoly] = {}
-    out = []
-    for vertices, selfs, shape, sign, count, kinds, family, slots in skeleton:
-        local = locals_.get(kinds)
-        if local is None:
-            local = locals_[kinds] = _equal_time(kinds)
-        out.append(DiagramClass(order, family, vertices, selfs, shape, sign, count,
-                                weights[slots] * count, local))
-    return out
+    local_values = {kinds: _equal_time(kinds) for kinds in {entry[5] for entry in skeleton}}
+    return [DiagramClass(order, family, vertices, selfs, shape, sign, count,
+                         weights[slots] * count, local_values[kinds])
+            for vertices, selfs, shape, sign, count, kinds, family, slots in skeleton]
 
 
 def order_contribution(classes: Iterable[DiagramClass]

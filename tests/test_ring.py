@@ -145,7 +145,8 @@ def test_power_repeated_multiplication():
         p ** -1
 
 
-@pytest.mark.parametrize("k, multiplies", [(0, 0), (1, 0), (2, 1), (3, 2), (4, 2)])
+@pytest.mark.parametrize("k, multiplies", [(0, 0), (1, 0), (2, 1), (3, 2), (4, 2), (5, 3), (6, 3),
+                                            (7, 4), (8, 3), (13, 5), (16, 4)])
 def test_power_multiplies_only_as_the_bits_need(monkeypatch, k, multiplies):
     p = W + D0 + half
     expected = ONE
@@ -162,6 +163,12 @@ def test_power_multiplies_only_as_the_bits_need(monkeypatch, k, multiplies):
     got = p ** k
     assert len(calls) == multiplies
     assert got == expected
+
+
+def test_zero_to_a_positive_power_is_zero():
+    assert ZERO ** 3 == ZERO
+    # no halving step per bit of a huge exponent
+    assert ZERO ** (2 ** 2000) == ZERO
 
 
 def test_field_equation_multiplies_once_per_binomial_term(monkeypatch):

@@ -14,7 +14,7 @@ from singint import (A, D0, G, ONE, W, ZERO, D_AT_ZERO, DDDOT_AT_ZERO,
                      ValuePoly, Vertex, action_vertices, diagram_classes, mono,
                      order_check, order_contribution, reduce)
 from singint import integrand, wick
-from singint.wick import Q, QDOT, _class_counts, enumerate_contractions
+from singint.wick import Q, QDOT, Contraction, _class_counts, enumerate_contractions
 
 
 def double_factorial_odd(k: int) -> int:
@@ -100,6 +100,21 @@ def test_single_vertex_contractions():
     locals_seen = sorted(c.local_factor.render() for c in cons)
     assert (-DDDOT_AT_ZERO * D_AT_ZERO).render() in locals_seen
     assert locals_seen.count("0") == 2  # the two dD(0)-carrying matchings
+
+
+def test_legless_vertices_have_the_one_empty_matching():
+    e = Vertex("e", (), ONE, jacobian=False)
+    empty = Contraction((), True, (0, 0, 0, 0), ONE, (), 1)
+    assert enumerate_contractions(e) == [empty]
+    # a pinned pair with no cross line is disconnected
+    assert enumerate_contractions(e, e) == [empty._replace(connected=False)]
+
+
+def test_a_same_vertex_pair_reads_in_either_leg_order():
+    for legs in ((Q, QDOT), (QDOT, Q)):
+        (c,) = enumerate_contractions(Vertex("m", legs, ONE, jacobian=False))
+        assert c.self_pairs == (("m", "qdot q"),)
+        assert c.local_factor == ZERO  # dD(0) = 0
 
 
 def test_pair_contraction_counts():
@@ -560,7 +575,7 @@ def test_order_1_contribution_vanishes_locally():
 def test_order_2_nonlocal_stays_in_reducer_closure():
     _, nonlocal_part = order_contribution(diagram_classes(2))
     assert not nonlocal_part.is_zero
-    for t in nonlocal_part.normalize():
+    for t in nonlocal_part:
         assert t.q == 0
         assert t.m <= 4 and t.n <= 4 and t.p <= 4
 
@@ -582,7 +597,7 @@ def test_family_split_sums_to_the_whole():
         total_local = total_local + loc
         total_nonlocal = total_nonlocal + nl
     assert total_local == whole_local
-    assert total_nonlocal.normalize() == whole_nonlocal.normalize()
+    assert total_nonlocal == whole_nonlocal
 
 
 def test_order_contribution_rejects_other_orders():
