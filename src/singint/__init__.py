@@ -8,8 +8,7 @@ coordinate-transformed oscillator cancel order by order, delta(0) powers
 included.
 """
 
-from .integrand import (D_AT_ZERO, DDDOT_AT_ZERO, DDOT_AT_ZERO,
-                        IntegrandMonomial, IntegrandSum, integrand_sum, mono)
+from .integrand import RULE_VALUES, IntegrandMonomial, IntegrandSum, integrand_sum, mono
 from .reducer import (ReductionTrace, RuleError, TraceStep, base_integral,
                       eval_dirac, eval_dirac_squared, ibp_step, reduce,
                       substitute_field_equation)
@@ -22,12 +21,11 @@ from .wick import (DiagramClass, Vertex, action_vertices, diagram_classes,
 __version__ = "0.1.0"
 
 __all__ = [
-    "A", "CheckResult", "D0", "D_AT_ZERO", "DDDOT_AT_ZERO", "DDOT_AT_ZERO",
-    "DiagramClass", "G", "IntegrandMonomial", "IntegrandSum", "ONE",
-    "ReductionTrace", "RuleError", "TraceStep", "ValuePoly", "Vertex", "W",
-    "ZERO", "action_vertices", "base_integral", "diagram_classes",
-    "diagram_identities", "eval_dirac", "eval_dirac_squared", "ibp_step",
-    "identity_suite", "integrand_sum", "mono", "order_check",
-    "order_contribution", "quadrature_oracle", "reduce",
+    "A", "CheckResult", "D0", "DiagramClass", "G", "IntegrandMonomial",
+    "IntegrandSum", "ONE", "RULE_VALUES", "ReductionTrace", "RuleError",
+    "TraceStep", "ValuePoly", "Vertex", "W", "ZERO", "action_vertices",
+    "base_integral", "diagram_classes", "diagram_identities", "eval_dirac",
+    "eval_dirac_squared", "ibp_step", "identity_suite", "integrand_sum",
+    "mono", "order_check", "order_contribution", "quadrature_oracle", "reduce",
     "substitute_field_equation", "wpow",
 ]

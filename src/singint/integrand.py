@@ -10,16 +10,12 @@ shape (0, 0, 0, 0) stands for coeff times the divergent bare measure
 integral dt * 1 and is never a valid reduction input.
 
 Equal-time (local) factors are never stored as integrand factors: they are
-folded into coefficients by `local_value` from the constants below, the one
-statement of the equal-time values, which the delta rules, the ibp contact
-term and the diagram generator's same-vertex pairs all read through it,
-
-    D_AT_ZERO     = w^-1 / 2
-    DDOT_AT_ZERO  = 0            (the sign function vanishes at the origin)
-    DDDOT_AT_ZERO = -d0 + w/2    (second derivative at coincident times)
-
-so an IntegrandSum always describes genuinely nonlocal content plus exact
-ring coefficients, and it is canonical on construction: no caller normalizes.
+folded into coefficients from `RULE_VALUES`, the one record of the values
+the rules give products of distributions, which the delta rules, the ibp
+contact term and the diagram generator's same-vertex pairs all read when
+they run.  So an IntegrandSum always describes genuinely nonlocal content
+plus exact ring coefficients, and it is canonical on construction: no
+caller normalizes.
 
 The vacuum-diagram cancellation fixes ddD(0) - w^2 D(0) = -d0, the field
 equation at the origin, and not D(0) itself: scaling D(0) and the smooth
@@ -47,16 +43,13 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from typing import Iterable
+from functools import partial
+from typing import Callable, Iterable, NamedTuple
 
 from .ring import (D0, ONE, SYMBOL_NAMES, ZERO, RationalLike, ValuePoly, _max_str_digits,
                    render_signed)
 
 Shape = tuple[int, int, int, int]
-
-D_AT_ZERO = ValuePoly.monomial(Fraction(1, 2), w=-1)
-DDOT_AT_ZERO = ZERO
-DDDOT_AT_ZERO = ValuePoly.monomial(Fraction(1, 2), w=1) - D0
 
 # factor spellings shared by the renderer and the parser
 FACTOR_NAMES = ("D", "dD", "ddD", "delta")
@@ -203,20 +196,37 @@ def integrand_sum(*terms: IntegrandMonomial) -> IntegrandSum:
     return IntegrandSum(terms)
 
 
-def local_value(m: int = 0, n: int = 0, p: int = 0) -> ValuePoly:
-    """D(0)^m * dD(0)^n * ddD(0)^p, folded from the three equal-time constants.
+class RuleValues(NamedTuple):
+    """What the rules give products of distributions; all read `RULE_VALUES` as they run."""
 
-    D_AT_ZERO, DDOT_AT_ZERO and DDDOT_AT_ZERO are read at call time.  A zero
-    constant with a positive power gives ZERO before any power is built.
+    d_at_zero: ValuePoly      # D(0) = w^-1 / 2
+    ddot_at_zero: ValuePoly   # dD(0) = 0: the sign function vanishes at the origin
+    dddot_at_zero: ValuePoly  # ddD(0) = -d0 + w/2: second derivative at coincident times
+    delta_squared: ValuePoly  # d0: delta^2 -> f(0) times this weight
+    ibp_contact: ValuePoly    # 1: the weight of the ibp move's delta term
+    dd_contact: Callable[[int], ValuePoly]  # n >= 1 -> [dD^n](0), the Wick dD(0)^n
+
+
+def local_value(m: int = 0, n: int = 0, p: int = 0) -> ValuePoly:
+    """D(0)^m * dD(0)^n * ddD(0)^p, folded from the equal-time constants.
+
+    The constants of `RULE_VALUES` are read at call time.  A zero constant
+    with a positive power gives ZERO before any power is built.
     """
-    if ((m and D_AT_ZERO.is_zero) or (n and DDOT_AT_ZERO.is_zero)
-            or (p and DDDOT_AT_ZERO.is_zero)):
+    values = RULE_VALUES
+    d, ddot, dddot = values.d_at_zero, values.ddot_at_zero, values.dddot_at_zero
+    if (m and d.is_zero) or (n and ddot.is_zero) or (p and dddot.is_zero):
         return ZERO
     value = None
-    for constant, power in ((D_AT_ZERO, m), (DDOT_AT_ZERO, n), (DDDOT_AT_ZERO, p)):
+    for constant, power in ((d, m), (ddot, n), (dddot, p)):
         if power:
             value = constant ** power if value is None else value * constant ** power
     return ONE if value is None else value
+
+
+RULE_VALUES = RuleValues(ValuePoly.monomial(Fraction(1, 2), w=-1), ZERO,
+                         ValuePoly.monomial(Fraction(1, 2), w=1) - D0, D0, ONE,
+                         partial(local_value, 0))
 
 
 class ParseError(ValueError):

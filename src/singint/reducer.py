@@ -11,12 +11,13 @@ from the delta rule delta^q -> f(0) d0^(q-1), one fold for q = 1 and 2,
     integral f delta      -> f(0)
     integral f delta^2    -> f(0) * d0,
 
-where f(0) folds the equal-time constants (`integrand.local_value`), and
-from integration by parts without boundary terms, whose contact term is
-emitted where `local_value` says it is nonzero.  Applied in pipeline order
-(equation of motion, delta^2, delta, parity, integration by parts, base
-integral) the system is confluent by construction: each stage eliminates one
-factor kind and never reintroduces an earlier one.
+with f(0) = D(0)^m [dD^n](0) for f = D^m dD^n, and from integration by parts
+without boundary terms, whose contact term is emitted where [dD^(n-2)](0)
+is nonzero; each rule reads its values from `integrand.RULE_VALUES` when it
+runs.  Applied in pipeline order (equation of motion, delta^2, delta,
+parity, integration by parts, base integral) the system is confluent by
+construction: each stage eliminates one factor kind and never reintroduces
+an earlier one.
 
 How far that holds:
 
@@ -27,6 +28,11 @@ How far that holds:
   What fixes the contact value [dD^2](0) = 0 is the order-g^2
   cancellation: `tests/test_rule_derivation.py` patches it to c and finds
   the order-2 total c g^2 w^-1.
+- No check fixes lambda_k := [dD^k](0) = 0 for k >= 4, which comes from
+  dD(0)^k = 0: every order total stays 0 with one of them set to 1.  ibp
+  reads lambda_(n-2) on dD^n, so every result with a dD power of 6 or
+  more, the benchmark's `reduce_deep` included, rests on it: dD^6 gives
+  5/192 w^-1, and 485/192 w^-1 at lambda_4 = 1.  Order g^3 could test it.
 - The values agree with the Lebesgue integral on D^m and D^m dD^2, the
   sector the quadrature oracle checks, but not on every absolutely
   integrable product: dD^4 is bounded and decays, and reduces to
@@ -43,8 +49,9 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Callable, NamedTuple
 
+from . import integrand
 from .integrand import IntegrandMonomial, IntegrandSum, local_value, mono
-from .ring import D0, ZERO, ValuePoly
+from .ring import ZERO, ValuePoly
 
 
 class RuleError(ValueError):
@@ -107,6 +114,7 @@ def _fold_delta(s: IntegrandSum, q: int) -> tuple[ValuePoly, IntegrandSum]:
 
     With no term of delta power q or more, this is (ZERO, s) itself.
     """
+    values = integrand.RULE_VALUES
     value = ZERO
     rest: list[IntegrandMonomial] = []
     for t in s:
@@ -115,8 +123,11 @@ def _fold_delta(s: IntegrandSum, q: int) -> tuple[ValuePoly, IntegrandSum]:
         if t.q == q:
             if t.p:
                 raise RuleError("delta evaluation requires ddD-free terms")
-            got = t.coeff * local_value(t.m, t.n)
-            value = value + (got * D0 if q == 2 else got)
+            # f(0) = [dD^n](0) D(0)^m, where [dD^0](0) = 1
+            got = t.coeff * values.dd_contact(t.n) if t.n else t.coeff
+            if not got.is_zero:
+                got = got * local_value(t.m)
+                value = value + (got * values.delta_squared if q == 2 else got)
         else:
             rest.append(t)
     if len(rest) == len(s):
@@ -145,6 +156,9 @@ def drop_odd_orientation(s: IntegrandSum) -> IntegrandSum:
     return s if len(kept) == len(s) else IntegrandSum(kept)
 
 
+_MINUS_W2 = ValuePoly.monomial(-1, w=2)
+
+
 def ibp_step(t: IntegrandMonomial) -> IntegrandSum:
     """One integration-by-parts move on a dD^n D^m term, n even and >= 2.
 
@@ -154,20 +168,21 @@ def ibp_step(t: IntegrandMonomial) -> IntegrandSum:
                                   - (n-1) w^2 integral dD^(n-2) D^(m+2)
 
     with no boundary terms.  The pointwise bracket is emitted as the
-    equivalent single-delta term where its equal-time value is nonzero,
-    which with dD(0) = 0 is n = 2 only.  Only the dD part of that value,
-    `local_value(0, n - 2)`, is read: a vanishing D(0) would zero the
-    emitted term in the delta rule all the same.
+    equivalent single-delta term, times the record's `ibp_contact` weight,
+    where the contact value [dD^(n-2)](0) is nonzero, which with dD(0) = 0
+    is n = 2 only, as [dD^0](0) = 1.  Only that dD part of the bracket's value is read: a
+    vanishing D(0) would zero the emitted term in the delta rule all the same.
     """
     if t.p or t.q:
         raise RuleError("integration by parts applies to pure D/dD terms")
     if t.n < 2 or t.n % 2:
         raise RuleError("integration by parts needs an even dD power >= 2")
-    ratio = Fraction(t.n - 1, t.m + 1)
+    values = integrand.RULE_VALUES
+    coeff = t.coeff * Fraction(t.n - 1, t.m + 1)
     out = []
-    if not local_value(0, t.n - 2).is_zero:
-        out.append(mono(t.m + 1, t.n - 2, 0, 1, t.coeff * ratio))
-    out.append(mono(t.m + 2, t.n - 2, 0, 0, t.coeff * ValuePoly.monomial(-ratio, w=2)))
+    if t.n == 2 or not values.dd_contact(t.n - 2).is_zero:  # [dD^0](0) = 1
+        out.append(mono(t.m + 1, t.n - 2, 0, 1, coeff * values.ibp_contact))
+    out.append(mono(t.m + 2, t.n - 2, 0, 0, coeff * _MINUS_W2))
     return IntegrandSum(out)
 
 

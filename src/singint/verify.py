@@ -20,12 +20,13 @@ from fractions import Fraction
 from math import exp
 from typing import Iterable, NamedTuple
 
-from .integrand import D_AT_ZERO, parse
+from .integrand import parse
 from .reducer import ReductionTrace, reduce
 from .ring import D0, G, W, ZERO, RationalLike, ValuePoly
 from .wick import DiagramClass, diagram_classes, order_contribution
 
-# frozen nonsingular integrals (independently confirmed by the oracle)
+# frozen D(0) and nonsingular integrals (independently confirmed by the oracle)
+D_AT_ZERO = ValuePoly.monomial(Fraction(1, 2), w=-1)
 INT_D_SQUARED = ValuePoly.monomial(Fraction(1, 4), w=-3)
 INT_D_FOURTH = ValuePoly.monomial(Fraction(1, 32), w=-5)
 

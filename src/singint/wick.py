@@ -53,9 +53,10 @@ family and which weight it takes.  It holds no ring value.  Each
 `diagram_classes` call then adds the ring values: it reads
 `action_vertices`, `CUMULANT_PREFACTOR` and `_equal_time` when it runs,
 builds each vertex-pair weight once per unordered pair and each equal-time
-factor once per kind count, and returns new classes.  So a patched
-coupling, prefactor or equal-time constant takes effect at once, and a
-patched vertex set or sign selects another skeleton.
+factor once per kind count, from the equal-time constants of
+`integrand.RULE_VALUES` as installed then, and returns new classes.  So a
+patched coupling or prefactor, or another installed record, takes effect
+at once, and a patched vertex set or sign selects another skeleton.
 
 `enumerate_contractions` is timed by the `census` benchmark workload, and
 the chain-rule census in the tests holds it, matching by matching.  It

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import strategies as st
 
 from singint import ZERO, IntegrandMonomial, IntegrandSum, ValuePoly, integrand, mono
+from singint.integrand import RULE_VALUES
 from singint.wick import Leg
 
 # seconds a test may run before the whole run exits with every thread's
@@ -142,15 +143,19 @@ def total_derivative(m: int, n: int) -> IntegrandSum:
     return IntegrandSum(terms)
 
 
-def lebesgue_local_value(m: int = 0, n: int = 0, p: int = 0) -> ValuePoly:
-    """`local_value` with the Lebesgue contact values [dD^n](0) = lambda_n.
+def install_rule_values(monkeypatch, **fields) -> None:
+    """Install the shipped `RULE_VALUES` with `fields` replaced, for one test."""
+    monkeypatch.setattr(integrand, "RULE_VALUES", RULE_VALUES._replace(**fields))
+
+
+def lebesgue_contact(n: int) -> ValuePoly:
+    """The Lebesgue contact value [dD^n](0) = lambda_n, for `RULE_VALUES.dd_contact`.
 
     lambda_n is the mean of dD^n while dD crosses its jump from 1/2 to
     -1/2: 2^-n / (n + 1) for even n, 0 for odd n.  The rules take
     dD(0)^n = 0 for every n >= 1.
     """
-    contact = Fraction(1, 2 ** n * (n + 1)) if n % 2 == 0 else 0
-    return integrand.local_value(m, 0, p) * contact
+    return ValuePoly.rational(Fraction(1, 2 ** n * (n + 1)) if n % 2 == 0 else 0)
 
 
 def lebesgue_integral(m: int, n: int) -> ValuePoly:

@@ -14,11 +14,12 @@ from hypothesis import strategies as st
 
 from conftest import (integrand_sums, perfect_matchings, rationals, reducible_sums,
                       value_polys)
-from singint import (A, D0, G, ONE, W, ZERO, D_AT_ZERO, IntegrandSum, ValuePoly,
+from singint import (A, D0, G, ONE, W, ZERO, IntegrandSum, ValuePoly,
                      action_vertices, diagram_classes, diagram_identities,
                      identity_suite, integrand_sum, mono, order_check,
                      quadrature_oracle, reduce)
 from singint.cli import parse, render_sum
+from singint.verify import D_AT_ZERO
 from singint.wick import enumerate_contractions
 
 G2 = G * G

@@ -7,23 +7,24 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import integrand_monomials, integrand_sums, merge_then_sort, value_polys
-from singint import (D0, ZERO, D_AT_ZERO, DDDOT_AT_ZERO, DDOT_AT_ZERO,
-                     IntegrandMonomial, IntegrandSum, ValuePoly,
+from singint import (D0, ONE, RULE_VALUES, ZERO, IntegrandMonomial, IntegrandSum, ValuePoly,
                      integrand_sum, mono, reduce)
 from singint.cli import parse
 from singint.integrand import local_value
 
 
 def test_equal_time_values():
-    assert D_AT_ZERO == ValuePoly.monomial(Fraction(1, 2), w=-1)
-    assert DDOT_AT_ZERO == ZERO
-    assert DDDOT_AT_ZERO == ValuePoly.monomial(Fraction(1, 2), w=1) - D0
+    # D(0), dD(0), ddD(0), the delta^2 weight and the ibp contact weight
+    assert RULE_VALUES[:5] == (ValuePoly.monomial(Fraction(1, 2), w=-1), ZERO,
+                               ValuePoly.monomial(Fraction(1, 2), w=1) - D0, D0, ONE)
+    assert [RULE_VALUES.dd_contact(n) for n in range(5)] == [ONE] + [ZERO] * 4
 
 
 def test_local_value_folds_powers():
-    assert local_value(2) == D_AT_ZERO * D_AT_ZERO
+    d_at_zero, _, dddot_at_zero = RULE_VALUES[:3]
+    assert local_value(2) == d_at_zero * d_at_zero
     assert local_value(0, 1, 0) == ZERO
-    assert local_value(1, 0, 1) == D_AT_ZERO * DDDOT_AT_ZERO
+    assert local_value(1, 0, 1) == d_at_zero * dddot_at_zero
     assert local_value() == ValuePoly.rational(1)
 
 

@@ -3,13 +3,12 @@
 import singint
 
 PUBLIC_API = [
-    "A", "CheckResult", "D0", "D_AT_ZERO", "DDDOT_AT_ZERO", "DDOT_AT_ZERO",
-    "DiagramClass", "G", "IntegrandMonomial", "IntegrandSum", "ONE",
-    "ReductionTrace", "RuleError", "TraceStep", "ValuePoly", "Vertex", "W",
-    "ZERO", "action_vertices", "base_integral", "diagram_classes",
-    "diagram_identities", "eval_dirac", "eval_dirac_squared", "ibp_step",
-    "identity_suite", "integrand_sum", "mono", "order_check",
-    "order_contribution", "quadrature_oracle", "reduce",
+    "A", "CheckResult", "D0", "DiagramClass", "G", "IntegrandMonomial",
+    "IntegrandSum", "ONE", "RULE_VALUES", "ReductionTrace", "RuleError",
+    "TraceStep", "ValuePoly", "Vertex", "W", "ZERO", "action_vertices",
+    "base_integral", "diagram_classes", "diagram_identities", "eval_dirac",
+    "eval_dirac_squared", "ibp_step", "identity_suite", "integrand_sum",
+    "mono", "order_check", "order_contribution", "quadrature_oracle", "reduce",
     "substitute_field_equation", "wpow",
 ]
 

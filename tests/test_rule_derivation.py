@@ -2,9 +2,9 @@
 taken one family at a time; jointly it fixes ddD(0) - w^2 D(0), not D(0).
 
 The order checks must leave a zero residue.  With one equal-time constant
-of `integrand`, or one weight of a `reducer` rule, patched to a family of
-values along a rational parameter c, every residue is a polynomial in c
-with coefficients in the ring.  Four probes fix a polynomial of degree 3 by
+or rule weight of `integrand.RULE_VALUES` set to a family of values along
+a rational parameter c, every residue is a polynomial in c with
+coefficients in the ring.  Four probes fix a polynomial of degree 3 by
 exact Lagrange interpolation over Fractions, and a fifth probe checks each
 interpolant, so a term of higher degree in c would show.  The pinned
 polynomials then show that the shipped value is the only rational c that
@@ -47,10 +47,11 @@ departs from the oracle.
 
 The reducer reads one more equal-time value: the contact value
 lambda_2 := [dD^2](0) of the delta term that integration by parts emits,
-which the commutative ring makes dD(0)^2 = 0.  Patched in the reducer
-alone, it leaves every order-1 total 0 and is the whole order-2 total,
+which the commutative ring makes dD(0)^2 = 0.  Set in the record's contact
+map alone, it leaves every order-1 total 0 and is the whole order-2 total,
 lambda_2 g^2 w^-1, plain, at a = 1/2, at a = -3/5 and under Veltman, while
-[dD^4](0) stays invisible.  So the cancellation fixes lambda_2 = 0, against
+[dD^k](0) for k = 4..10 stays invisible to every order check, though
+`reduce(ddD dD^k)` reads it.  So the cancellation fixes lambda_2 = 0, against
 integration by parts on D-free total derivatives: integral ddD dD^2, a
 third of the integral of d/dt(dD^3), reduces to 1/12, not 0.
 
@@ -68,11 +69,10 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import lebesgue_integral, lebesgue_local_value
-from singint import (A, D0, G, ZERO, IntegrandSum, ValuePoly, diagram_identities,
-                     identity_suite, integrand_sum, mono, order_check, quadrature_oracle,
-                     reduce, wpow)
-from singint import integrand, reducer
+from conftest import install_rule_values, lebesgue_contact, lebesgue_integral
+from singint import (A, D0, G, ZERO, ValuePoly, diagram_identities, identity_suite,
+                     integrand_sum, mono, order_check, quadrature_oracle, reduce, wpow)
+from singint.integrand import RULE_VALUES, RuleValues, parse
 
 PROBES = (Fraction(-1), Fraction(1, 2), Fraction(1), Fraction(2))
 CHECK_PROBE = Fraction(3)
@@ -84,28 +84,37 @@ CHECK_IDS = ["order_1", "order_2", "order_2_a_half"]
 HALF_W = ValuePoly.monomial(Fraction(1, 2), w=1)
 HALF_W_INVERSE = ValuePoly.monomial(Fraction(1, 2), w=-1)
 
-SHIPPED_IBP_STEP = reducer.ibp_step
-
-
-def _ibp_contact_weight(c):
-    """`reducer.ibp_step` with its single-delta contact term scaled by c."""
-    def ibp_step(t):
-        return IntegrandSum([mono(u.m, u.n, u.p, u.q, u.coeff * c) if u.q == 1 else u
-                             for u in SHIPPED_IBP_STEP(t)])
-    return ibp_step
-
-
-# family -> (the patched module and name, its value at c, the shipped c)
+# family -> (the record field, its value at c, the shipped c)
 FAMILIES = {
-    "d_at_zero": (integrand, "D_AT_ZERO", lambda c: c * HALF_W_INVERSE, Fraction(1)),
-    "dd_at_zero": (integrand, "DDOT_AT_ZERO", ValuePoly.rational, Fraction(0)),
-    "ddd_contact_weight": (integrand, "DDDOT_AT_ZERO", lambda c: HALF_W - c * D0,
-                           Fraction(1)),
-    "ddd_smooth_weight": (integrand, "DDDOT_AT_ZERO", lambda c: c * HALF_W - D0,
-                          Fraction(1)),
-    "delta_squared_weight": (reducer, "D0", lambda c: c * D0, Fraction(1)),
-    "ibp_contact_weight": (reducer, "ibp_step", _ibp_contact_weight, Fraction(1)),
+    "d_at_zero": ("d_at_zero", lambda c: c * HALF_W_INVERSE, Fraction(1)),
+    "dd_at_zero": ("ddot_at_zero", ValuePoly.rational, Fraction(0)),
+    "ddd_contact_weight": ("dddot_at_zero", lambda c: HALF_W - c * D0, Fraction(1)),
+    "ddd_smooth_weight": ("dddot_at_zero", lambda c: c * HALF_W - D0, Fraction(1)),
+    "delta_squared_weight": ("delta_squared", lambda c: c * D0, Fraction(1)),
+    "ibp_contact_weight": ("ibp_contact", ValuePoly.rational, Fraction(1)),
 }
+
+
+def test_every_rule_value_is_pinned():
+    # a field added to the record later fails here until a family or the
+    # contact tests below pin its residue
+    pinned = {field for field, _, _ in FAMILIES.values()} | {"dd_contact"}
+    assert pinned == set(RuleValues._fields)
+
+
+def test_no_family_moves_an_expected_value(monkeypatch):
+    # every expected value is a frozen closed form, but for the two
+    # cross-derivations, which compare two reductions by design
+    def expected():
+        return [(check.name, check.expected) for check in identity_suite()
+                + diagram_identities() if " vs " not in check.name]
+
+    shipped = expected()
+    assert len(shipped) == 18
+    for family, (field, value, _) in FAMILIES.items():
+        for c in PROBES + (CHECK_PROBE,):
+            install_rule_values(monkeypatch, **{field: value(c)})
+            assert expected() == shipped, (family, c)
 
 
 def _times(c_poly, ring):
@@ -176,8 +185,8 @@ PINNED = {
 
 
 def _residue(monkeypatch, family, c, order, a_binding, veltman=False):
-    module, name, value, _ = FAMILIES[family]
-    monkeypatch.setattr(module, name, value(c))
+    field, value, _ = FAMILIES[family]
+    install_rule_values(monkeypatch, **{field: value(c)})
     return order_check(order, a_binding=a_binding, veltman=veltman).actual
 
 
@@ -297,7 +306,7 @@ def test_d_at_zero_residue_is_pinned_and_cubic(residue_polynomials, order, a_bin
 
 
 def test_d_at_zero_vanishes_only_at_the_shipped_one(residue_polynomials, monkeypatch):
-    assert FAMILIES["d_at_zero"][3] == 1
+    assert FAMILIES["d_at_zero"][2] == 1
     # the common factor is c - 1: c = 1 is the one common root
     assert _common_factor(residue_polynomials, "d_at_zero") == [-1, 1]
     # c = 0 passes order 1, and order 2 rules it out
@@ -314,7 +323,7 @@ def test_ddd_at_zero_residue_is_pinned(residue_polynomials, family, order, a_bin
 
 @pytest.mark.parametrize("family", ["ddd_contact_weight", "ddd_smooth_weight"])
 def test_ddd_at_zero_vanishes_only_at_the_shipped_one(residue_polynomials, family):
-    assert FAMILIES[family][3] == 1
+    assert FAMILIES[family][2] == 1
     # the common factor is c - 1: c = 1 is the one common root
     assert _common_factor(residue_polynomials, family) == [-1, 1]
 
@@ -346,7 +355,7 @@ def test_rule_weight_residue_is_pinned(residue_polynomials, family, order, a_bin
 
 @pytest.mark.parametrize("family", ["delta_squared_weight", "ibp_contact_weight"])
 def test_rule_weight_vanishes_only_at_the_shipped_one(residue_polynomials, family):
-    assert FAMILIES[family][3] == 1
+    assert FAMILIES[family][2] == 1
     # order 1 is blind, and order 2 leaves c - 1: c = 1 is the one common root
     for order, a_binding in CHECKS:
         _, at = residue_polynomials[family, order, a_binding]
@@ -371,7 +380,7 @@ def test_veltman_keeps_the_ibp_contact_weight(monkeypatch):
 
 def test_ibp_contact_weight_fails_identity_rows(monkeypatch):
     for c in PROBES:
-        monkeypatch.setattr(reducer, "ibp_step", _ibp_contact_weight(c))
+        install_rule_values(monkeypatch, ibp_contact=ValuePoly.rational(c))
         failed = (sum(not row.passed for row in identity_suite()),
                   sum(not row.passed for row in diagram_identities()))
         assert failed == ((0, 0) if c == 1 else (5, 4))
@@ -393,8 +402,7 @@ TOTALS = [(order, a_binding, veltman) for order in (1, 2)
 
 def _on_curve(monkeypatch, nu, mu):
     """D(0) = nu w^-1 / 2 and ddD(0) = mu w/2 - d0."""
-    monkeypatch.setattr(integrand, "D_AT_ZERO", nu * HALF_W_INVERSE)
-    monkeypatch.setattr(integrand, "DDDOT_AT_ZERO", mu * HALF_W - D0)
+    install_rule_values(monkeypatch, d_at_zero=nu * HALF_W_INVERSE, dddot_at_zero=mu * HALF_W - D0)
 
 
 @pytest.mark.parametrize("nu", CURVE, ids=str)
@@ -448,16 +456,11 @@ def test_the_oracle_not_the_cancellation_holds_d_at_zero(monkeypatch):
 
 # -- the contact value lambda_2 := [dD^2](0) ------------------------------------
 
-SHIPPED_LOCAL_VALUE = reducer.local_value
-
-
 def _contact_totals(monkeypatch, k, lam):
-    """The eight totals with the reducer's [dD^k](0) patched to lam; the Wick
+    """The eight totals with the contact value [dD^k](0) set to lam; the Wick
     equal-time factors keep the shipped constants."""
-    def local_value(m=0, n=0, p=0):
-        return SHIPPED_LOCAL_VALUE(m, 0, p) * lam if n == k else SHIPPED_LOCAL_VALUE(m, n, p)
-
-    monkeypatch.setattr(reducer, "local_value", local_value)
+    wick_contact, lam = RULE_VALUES.dd_contact, ValuePoly.rational(lam)
+    install_rule_values(monkeypatch, dd_contact=lambda n: lam if n == k else wick_contact(n))
     return [order_check(order, a_binding=a_binding, veltman=veltman).actual
             for order, a_binding, veltman in TOTALS]
 
@@ -470,8 +473,14 @@ def test_the_order_2_total_is_the_contact_value_of_dd_squared(monkeypatch, lam):
     assert totals == [ZERO] * 4 + [lam * G2 * wpow(-1)] * 4
 
 
-def test_the_order_checks_do_not_see_the_contact_value_of_dd_fourth(monkeypatch):
-    assert _contact_totals(monkeypatch, 4, Fraction(1)) == [ZERO] * 8
+@pytest.mark.parametrize("k", range(4, 11), ids=str)
+def test_the_order_checks_do_not_see_the_contact_value_of_dd_k(monkeypatch, k):
+    # every dD power on an order-1 or order-2 line is at most 4, yet reduce
+    # reads lambda_k directly on ddD dD^k, odd k and even k alike
+    s = parse(f"ddD dD^{k}")
+    shipped = reduce(s)[0]
+    assert _contact_totals(monkeypatch, k, Fraction(1)) == [ZERO] * 8
+    assert reduce(s)[0] - shipped == ValuePoly.rational(-1)
 
 
 # -- the Lebesgue contact map ---------------------------------------------------
@@ -479,7 +488,7 @@ def test_the_order_checks_do_not_see_the_contact_value_of_dd_fourth(monkeypatch)
 def test_the_lebesgue_contact_map_gives_the_lebesgue_integral(monkeypatch):
     # under the same map every total derivative, D-free ones included, reduces
     # to 0: test_verify.py's variant contact rule checks m <= 8, n <= 12
-    monkeypatch.setattr(reducer, "local_value", lebesgue_local_value)
+    install_rule_values(monkeypatch, dd_contact=lebesgue_contact)
     for m in range(9):
         for n in range(0, 21, 2):
             if m + n:

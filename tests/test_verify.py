@@ -4,13 +4,12 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import lebesgue_integral, lebesgue_local_value, total_derivative
-from singint import (A, D0, G, ONE, ZERO, D_AT_ZERO, IntegrandSum, ValuePoly,
-                     diagram_classes, diagram_identities, identity_suite, integrand,
-                     integrand_sum, mono, order_check, quadrature_oracle, reduce, reducer,
-                     verify, wick)
+from conftest import install_rule_values, lebesgue_contact, lebesgue_integral, total_derivative
+from singint import (A, D0, G, ONE, ZERO, IntegrandSum, ValuePoly, diagram_classes,
+                     diagram_identities, identity_suite, integrand_sum, mono, order_check,
+                     quadrature_oracle, reduce, verify, wick)
 from singint.integrand import parse
-from singint.verify import INT_D_FOURTH, INT_D_SQUARED
+from singint.verify import D_AT_ZERO, INT_D_FOURTH, INT_D_SQUARED
 
 
 def test_identity_suite_all_pass():
@@ -101,9 +100,9 @@ def test_diagram_identities_classifies_each_order_once(monkeypatch):
 
 
 def test_naive_equal_time_value_leaves_a_d0_residue(monkeypatch):
-    # ddD(0) = 1/2 w without its -d0 contact part; `local_value` reads the
-    # constant at call time, so the Wick matcher and the reducer both see it
-    monkeypatch.setattr(integrand, "DDDOT_AT_ZERO", ValuePoly.monomial(Fraction(1, 2), w=1))
+    # ddD(0) = 1/2 w without its -d0 contact part; the Wick matcher and the
+    # reducer both read the installed record when they run, so both see it
+    install_rule_values(monkeypatch, dddot_at_zero=ValuePoly.monomial(Fraction(1, 2), w=1))
     g2d0 = ValuePoly.monomial(1, g=2, d0=1)
     residues = [
         (order_check(1), ValuePoly.monomial(Fraction(1, 2), g=1, d0=1, w=-1)),
@@ -125,10 +124,10 @@ def test_naive_equal_time_value_leaves_a_d0_residue(monkeypatch):
 def test_variant_contact_rule_fixes_total_derivatives_but_breaks_order_2(monkeypatch):
     # the variant keeps dD(0)^n alive for even n, as eps^n delta -> delta/(n+1)
     # with dD = -eps e^(-w|t|)/2: the Lebesgue contact values.  `ibp_step`
-    # reads the same `local_value`, so it emits its contact term for every
-    # even n.  Only the reducer sees the variant, since swapping
-    # wick.local_value too breaks order 1 by -1/6 g
-    monkeypatch.setattr(reducer, "local_value", lebesgue_local_value)
+    # reads the same contact map, so it emits its contact term for every
+    # even n.  Only the reducer reads the contact map: the Wick equal-time
+    # factors keep dD(0)^n, as the Lebesgue values there break order 1 by -1/6 g
+    install_rule_values(monkeypatch, dd_contact=lebesgue_contact)
 
     assert reduce(integrand_sum(mono(n=4)))[0] == lebesgue_integral(0, 4)
     for m in range(9):
@@ -148,11 +147,11 @@ def test_variant_contact_rule_fixes_total_derivatives_but_breaks_order_2(monkeyp
 
 def _one_sided_ddot(monkeypatch):
     # dD(0) = -1/2, the value from t > 0, in place of the symmetric 0
-    monkeypatch.setattr(integrand, "DDOT_AT_ZERO", ValuePoly.rational(Fraction(-1, 2)))
+    install_rule_values(monkeypatch, ddot_at_zero=ValuePoly.rational(Fraction(-1, 2)))
 
 
 def _delta_squared_without_d0(monkeypatch):
-    monkeypatch.setattr(reducer, "D0", ONE)
+    install_rule_values(monkeypatch, delta_squared=ONE)
 
 
 def _jacobian_vertices_dropped(monkeypatch):
@@ -169,9 +168,7 @@ def _qd2q4_coupling_one_plus_a(monkeypatch):
 
 
 def _ibp_contact_dropped(monkeypatch):
-    step = reducer.ibp_step
-    monkeypatch.setattr(reducer, "ibp_step",
-                        lambda t: IntegrandSum([u for u in step(t) if not u.q]))
+    install_rule_values(monkeypatch, ibp_contact=ZERO)
 
 
 def _pinned_derivative_unsigned(monkeypatch):
@@ -281,6 +278,7 @@ def test_order_check_carries_a_trace_when_nonlocal():
 
 
 def test_frozen_base_values():
+    assert D_AT_ZERO == ValuePoly.monomial(Fraction(1, 2), w=-1)
     assert INT_D_SQUARED == ValuePoly.monomial(Fraction(1, 4), w=-3)
     assert INT_D_FOURTH == ValuePoly.monomial(Fraction(1, 32), w=-5)
     assert lebesgue_integral(0, 4) == ValuePoly.monomial(Fraction(1, 32), w=-1)

@@ -9,9 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import perfect_matchings
-from singint import (A, D0, G, ONE, W, ZERO, D_AT_ZERO, DDDOT_AT_ZERO,
-                     DDOT_AT_ZERO, DiagramClass, IntegrandMonomial, IntegrandSum,
-                     ValuePoly, Vertex, action_vertices, diagram_classes, mono,
+from conftest import install_rule_values
+from singint import (A, D0, G, ONE, RULE_VALUES, W, ZERO, DiagramClass, IntegrandMonomial,
+                     IntegrandSum, ValuePoly, Vertex, action_vertices, diagram_classes, mono,
                      order_check, order_contribution, reduce)
 from singint import integrand, wick
 from singint.wick import Q, QDOT, Contraction, _class_counts, enumerate_contractions
@@ -98,7 +98,7 @@ def test_single_vertex_contractions():
     assert len(cons) == 3
     assert all(c.connected and c.shape == (0, 0, 0, 0) for c in cons)
     locals_seen = sorted(c.local_factor.render() for c in cons)
-    assert (-DDDOT_AT_ZERO * D_AT_ZERO).render() in locals_seen
+    assert (-RULE_VALUES.dddot_at_zero * RULE_VALUES.d_at_zero).render() in locals_seen
     assert locals_seen.count("0") == 2  # the two dD(0)-carrying matchings
 
 
@@ -206,8 +206,9 @@ def _chain_rule_census(v1, v2=None, pinned=-1):
     inner = (1, pinned)
     # equal-time value of one same-vertex pair, read now so a patched constant
     # takes effect; a qdot qdot pair is -ddD(0)
-    self_values = {(Q, Q): integrand.D_AT_ZERO, (QDOT, Q): integrand.DDOT_AT_ZERO,
-                   (QDOT, QDOT): -integrand.DDDOT_AT_ZERO}
+    values = integrand.RULE_VALUES
+    self_values = {(Q, Q): values.d_at_zero, (QDOT, Q): values.ddot_at_zero,
+                   (QDOT, QDOT): -values.dddot_at_zero}
     census = []
     for matching in perfect_matchings(_legs(v1, v2)):
         local, selfs, powers, sign = ONE, [], [0, 0, 0], 1  # powers of D, dD, ddD
@@ -618,7 +619,7 @@ def test_bubble_families_reduce_to_minus_d0_prop_squared():
     _, with_jacobian = order_contribution(
         c for c in classes if c.family in ("bubble", "jacobian_bubble"))
     val, _ = reduce(with_jacobian)
-    prop0_sq = D_AT_ZERO * D_AT_ZERO
+    prop0_sq = RULE_VALUES.d_at_zero ** 2
     assert val == -(G * G * D0 * prop0_sq)
 
 
@@ -643,7 +644,8 @@ def _fold_through_term(classes):
 
 
 # with dD(0) = 0 every class of sign -1 weighs 0; a one-sided dD(0) gives them weight
-@pytest.mark.parametrize("ddot_at_zero", [DDOT_AT_ZERO, ValuePoly.rational(Fraction(-1, 2))],
+@pytest.mark.parametrize("ddot_at_zero",
+                         [RULE_VALUES.ddot_at_zero, ValuePoly.rational(Fraction(-1, 2))],
                          ids=["shipped", "one_sided"])
 @pytest.mark.parametrize("order, families", [
     (1, None), (2, None),
@@ -652,7 +654,7 @@ def _fold_through_term(classes):
     (2, ("local",)), (2, ("watermelon",)),
 ])
 def test_direct_fold_equals_the_fold_through_term(monkeypatch, order, families, ddot_at_zero):
-    monkeypatch.setattr(integrand, "DDOT_AT_ZERO", ddot_at_zero)
+    install_rule_values(monkeypatch, ddot_at_zero=ddot_at_zero)
     classes = [c for c in diagram_classes(order) if families is None or c.family in families]
     local, lines = order_contribution(classes)
     want_local, want_lines = _fold_through_term(classes)
