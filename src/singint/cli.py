@@ -10,7 +10,6 @@ rule-domain, input-power or number-size error).
 from __future__ import annotations
 
 import argparse
-import json
 import re
 import sys
 from fractions import Fraction
@@ -18,8 +17,6 @@ from fractions import Fraction
 from .integrand import ParseError, integrand_sum, mono, parse, render_sum
 from .reducer import ReductionTrace, reduce
 from .ring import _max_str_digits
-from .verify import diagram_identities, identity_suite, order_check, symbol_bindings
-from .wick import diagram_classes, order_contribution
 
 
 def _trace_json(trace: ReductionTrace) -> list[dict]:
@@ -38,7 +35,11 @@ def _step_text(step: dict) -> str:
 
 def _emit(payload, args, lines: list[str]) -> None:
     """Print the payload under --json, else the text lines written from it."""
-    print(json.dumps(payload, indent=2) if args.json else "\n".join(lines))
+    if args.json:
+        import json
+        print(json.dumps(payload, indent=2))
+    else:
+        print("\n".join(lines))
 
 
 def _report_checks(checks, args) -> int:
@@ -70,10 +71,12 @@ def _cmd_reduce(args) -> int:
 
 
 def _cmd_identities(args) -> int:
+    from .verify import diagram_identities, identity_suite
     return _report_checks(identity_suite() + diagram_identities(), args)
 
 
 def _cmd_verify(args) -> int:
+    from .verify import order_check
     orders = [args.order] if args.order else [1, 2]
     checks = [order_check(o, a_binding=args.a, veltman=args.veltman)
               for o in orders]
@@ -81,6 +84,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_diagrams(args) -> int:
+    from .verify import symbol_bindings
+    from .wick import diagram_classes, order_contribution
     bindings = symbol_bindings(args.a, args.veltman)
     rows = []
     for cls in diagram_classes(args.order):

@@ -17,6 +17,15 @@ they run.  So an IntegrandSum always describes genuinely nonlocal content
 plus exact ring coefficients, and it is canonical on construction: no
 caller normalizes.
 
+The construction rule of `singint.ring` holds here too.  The public
+constructors, `IntegrandMonomial(...)`, `mono`, `IntegrandSum(...)` and
+`parse`, check every input.  Code that assembles a value from parts it
+has already checked builds it directly: `_monomial` makes a monomial
+without the checks, for the parser, the field equation, the merge in
+`IntegrandSum` and the diagram generator's line sums, and `_kept` makes a
+sum from terms kept in order from a canonical sum, for the rules that
+only drop terms (the delta folds and the parity rule).
+
 The vacuum-diagram cancellation fixes ddD(0) - w^2 D(0) = -d0, the field
 equation at the origin, and not D(0) itself: scaling D(0) and the smooth
 part of ddD(0) together leaves every order check passing.  D(0) = w^-1 / 2
@@ -35,8 +44,8 @@ e.g. "dD^2 + w^2 D^2" or "-3/32 w^-1 dD^4": whitespace separates atoms, a
 character outside the language, and works out a token's column only when
 it raises a ParseError.  It walks the tokens once, keeps each term as an
 int numerator and denominator and one power per factor and symbol name,
-and builds the term's coefficient from one Fraction with one
-`ValuePoly.monomial` call at the term's end.
+and at the term's end, as every part is checked by then, reduces the
+fraction by one gcd and builds the coefficient and the monomial directly.
 """
 
 from __future__ import annotations
@@ -44,10 +53,11 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from functools import partial
+from math import gcd
 from typing import Callable, Iterable, NamedTuple
 
 from .ring import (D0, ONE, SYMBOL_NAMES, ZERO, RationalLike, ValuePoly, _max_str_digits,
-                   render_signed)
+                   _wrap, render_signed)
 
 Shape = tuple[int, int, int, int]
 
@@ -115,6 +125,22 @@ class IntegrandMonomial:
         return f"IntegrandMonomial({self.coeff.render()!r} * {self.factors_text() or '1'!r})"
 
 
+# the slot setters, so `_monomial` stores a field without the guarded __setattr__
+_SET_M, _SET_N, _SET_P, _SET_Q, _SET_COEFF = (
+    IntegrandMonomial.__dict__[name].__set__ for name in IntegrandMonomial.__slots__)
+
+
+def _monomial(m: int, n: int, p: int, q: int, coeff: ValuePoly) -> IntegrandMonomial:
+    """A monomial from checked parts: int powers >= 0 and a ValuePoly coefficient."""
+    term = object.__new__(IntegrandMonomial)
+    _SET_M(term, m)
+    _SET_N(term, n)
+    _SET_P(term, p)
+    _SET_Q(term, q)
+    _SET_COEFF(term, coeff)
+    return term
+
+
 def mono(m: int = 0, n: int = 0, p: int = 0, q: int = 0,
          coeff: ValuePoly | RationalLike = 1) -> IntegrandMonomial:
     if not isinstance(coeff, ValuePoly):
@@ -128,7 +154,10 @@ class IntegrandSum:
     The constructor merges monomials of equal shape, drops zero-coefficient
     terms and sorts the rest lexicographically by (m, n, p, q), so two sums
     are equal exactly when their terms are.  A one-term list or tuple has
-    nothing to merge or sort and only drops a zero coefficient.
+    nothing to merge or sort and only drops a zero coefficient.  A merged
+    monomial is built by `_monomial`, as both its parts are checked; a rule
+    that only drops terms of a canonical sum builds its result with `_kept`,
+    which neither merges nor sorts.
 
     A reducer rule that changes nothing returns the sum it was given, not an
     equal copy, and the reduction trace records only the rules that change
@@ -147,8 +176,7 @@ class IntegrandSum:
         for term in terms:
             shape = term.shape
             first = acc.get(shape)
-            acc[shape] = term if first is None else IntegrandMonomial(
-                *shape, first.coeff + term.coeff)
+            acc[shape] = term if first is None else _monomial(*shape, first.coeff + term.coeff)
         # from a list: tuple() of a generator resizes as it grows, fragmenting the heap
         self.terms = tuple([acc[s] for s in sorted(acc) if not acc[s].coeff.is_zero])
 
@@ -190,6 +218,13 @@ class IntegrandSum:
 
     def __repr__(self) -> str:
         return f"IntegrandSum({list(self.terms)!r})"
+
+
+def _kept(terms: list[IntegrandMonomial]) -> IntegrandSum:
+    """The sum of `terms`, kept in order from a canonical sum: nothing to merge or sort."""
+    s = object.__new__(IntegrandSum)
+    s.terms = tuple(terms)
+    return s
 
 
 def integrand_sum(*terms: IntegrandMonomial) -> IntegrandSum:
@@ -278,7 +313,11 @@ def _integer(text: str, tokens: list[str], index: int, message: str) -> int:
 
 
 def parse(text: str) -> IntegrandSum:
-    """Parse the expression language into a canonical IntegrandSum, in one pass."""
+    """Parse the expression language into a canonical IntegrandSum, in one pass.
+
+    Every check is made on the tokens, so each term is built from checked
+    parts; only the sum of the terms merges and sorts.
+    """
     tokens = _tokens(text)
     terms = []
     i = 0
@@ -330,8 +369,10 @@ def parse(text: str) -> IntegrandSum:
         if not saw_atom:
             raise ParseError(f"expected a term, found {tok or 'end'!r}", _column(text, i))
         m, n, p, q, w, d0, a, g = powers.values()
-        coeff = ValuePoly.monomial(Fraction(numerator, denominator), w=w, d0=d0, a=a, g=g)
-        terms.append(IntegrandMonomial(m, n, p, q, coeff))
+        common = gcd(numerator, denominator)
+        coeff = _wrap({(w, d0, a, g): (numerator // common, denominator // common)}
+                      ) if numerator else ZERO
+        terms.append(_monomial(m, n, p, q, coeff))
         if not tok:
             return IntegrandSum(terms)
         if tok not in ("+", "-"):

@@ -50,7 +50,7 @@ from fractions import Fraction
 from typing import Callable, NamedTuple
 
 from . import integrand
-from .integrand import IntegrandMonomial, IntegrandSum, local_value, mono
+from .integrand import IntegrandMonomial, IntegrandSum, _kept, _monomial, local_value, mono
 from .ring import ZERO, ValuePoly
 
 
@@ -104,7 +104,7 @@ def substitute_field_equation(s: IntegrandSum) -> IntegrandSum:
         binom = 1
         for j in range(t.p + 1):
             coef = t.coeff * ValuePoly.monomial((-1) ** j * binom, w=2 * (t.p - j))
-            out.append(mono(t.m + t.p - j, t.n, 0, t.q + j, coef))
+            out.append(_monomial(t.m + t.p - j, t.n, 0, t.q + j, coef))
             binom = binom * (t.p - j) // (j + 1)
     return IntegrandSum(out)
 
@@ -132,7 +132,7 @@ def _fold_delta(s: IntegrandSum, q: int) -> tuple[ValuePoly, IntegrandSum]:
             rest.append(t)
     if len(rest) == len(s):
         return ZERO, s
-    return value, IntegrandSum(rest)
+    return value, _kept(rest)
 
 
 def eval_dirac_squared(s: IntegrandSum) -> tuple[ValuePoly, IntegrandSum]:
@@ -153,7 +153,7 @@ def drop_odd_orientation(s: IntegrandSum) -> IntegrandSum:
             raise RuleError("parity rule applies after delta elimination")
         if t.n % 2 == 0:
             kept.append(t)
-    return s if len(kept) == len(s) else IntegrandSum(kept)
+    return s if len(kept) == len(s) else _kept(kept)
 
 
 _MINUS_W2 = ValuePoly.monomial(-1, w=2)

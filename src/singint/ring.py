@@ -23,16 +23,22 @@ type: the constructors and `substitute` take ints and Fractions, `items`,
 like the equal Fraction.  `substitute` binds on the pairs, and
 `render_terms` formats straight from them.
 
-The public constructor validates its input.  Ring operations work on
-canonical operands, so they build their results without re-validating
-them: they only drop the coefficients that cancelled.  An int or Fraction
-factor of `*` is read as a pair, not wrapped in a ValuePoly; `+`, `-` and
-`==` read one through `_coerce`.  Most operands the reducer meets are zero
-or a single term, and those take direct paths: a zero summand returns the
-other summand, a zero factor returns ZERO, two single terms multiply to
-their one product term, and a single term's power raises its coefficient
-and scales its exponents.  A ValuePoly is immutable, so returning an
-operand itself is safe.
+One construction rule holds here and in `singint.integrand`: the public
+constructors, `ValuePoly(...)`, `rational` and `monomial`, check every
+input, through the one term check `_checked_term`, and code that
+assembles a value from parts already checked builds it directly, with
+`_wrap`.  `monomial` checks its one term and wraps it without the
+constructor's dict loop.  Ring operations work on canonical operands, so
+they build their results without re-validating them: they only drop the
+coefficients that cancelled.  The parser wraps each term's reduced
+coefficient the same way.  An int or Fraction factor of `*` is read as a
+pair, not wrapped in a ValuePoly; `+`, `-` and `==` read one through
+`_coerce`.  Most operands the reducer meets are zero or a single term,
+and those take direct paths: a zero summand returns the other summand, a
+zero factor returns ZERO, two single terms multiply to their one product
+term, and a single term's power raises its coefficient and scales its
+exponents.  A ValuePoly is immutable, so returning an operand itself is
+safe.
 """
 
 from __future__ import annotations
@@ -63,6 +69,15 @@ def _q(value: RationalLike) -> Pair:
     if isinstance(value, Fraction):
         return value.numerator, value.denominator
     raise TypeError(f"expected an exact rational, got {type(value).__name__}")
+
+
+def _checked_term(kw: int, kd0: int, ka: int, kg: int, coef: RationalLike) -> Pair:
+    """The pair of one term's coefficient, after the checks on its exponents."""
+    if not type(kw) is type(kd0) is type(ka) is type(kg) is int:
+        raise TypeError(f"exponents must be ints, got {(kw, kd0, ka, kg)}")
+    if kd0 < 0 or ka < 0 or kg < 0:
+        raise ValueError(f"negative exponent for d0/a/g in {(kw, kd0, ka, kg)}")
+    return _q(coef)
 
 
 def _qmul(x: Pair, y: Pair) -> Pair:
@@ -104,11 +119,7 @@ class ValuePoly:
         clean: dict[Exponents, Pair] = {}
         for exps, coef in (terms or {}).items():
             kw, kd0, ka, kg = exps
-            if not type(kw) is type(kd0) is type(ka) is type(kg) is int:
-                raise TypeError(f"exponents must be ints, got {exps}")
-            if kd0 < 0 or ka < 0 or kg < 0:
-                raise ValueError(f"negative exponent for d0/a/g in {exps}")
-            pair = _q(coef)
+            pair = _checked_term(kw, kd0, ka, kg, coef)
             if pair[0]:
                 clean[(kw, kd0, ka, kg)] = pair
         self._terms = clean
@@ -117,12 +128,13 @@ class ValuePoly:
 
     @classmethod
     def rational(cls, value: RationalLike) -> "ValuePoly":
-        return cls({_CONSTANT: value})
+        return cls.monomial(value)
 
     @classmethod
     def monomial(cls, coeff: RationalLike, w: int = 0, d0: int = 0,
                  a: int = 0, g: int = 0) -> "ValuePoly":
-        return cls({(w, d0, a, g): coeff})
+        pair = _checked_term(w, d0, a, g, coeff)
+        return _wrap({(w, d0, a, g): pair} if pair[0] else {})
 
     # -- ring structure ----------------------------------------------------
 

@@ -96,7 +96,7 @@ from functools import cache
 from math import factorial
 from typing import Callable, Iterable, NamedTuple, Sequence
 
-from .integrand import IntegrandMonomial, IntegrandSum, local_value
+from .integrand import IntegrandSum, _monomial, local_value
 from .ring import A, D0, G, ONE, W, ZERO, ValuePoly
 
 Q = "q"
@@ -461,5 +461,5 @@ def order_contribution(classes: Iterable[DiagramClass]
         else:
             signed = weight if cls.sign > 0 else -weight
             lines[shape] = lines[shape] + signed if shape in lines else signed
-    return local_total, IntegrandSum([IntegrandMonomial(*shape, total)
+    return local_total, IntegrandSum([_monomial(*shape, total)
                                       for shape, total in lines.items()])

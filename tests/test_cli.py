@@ -474,10 +474,12 @@ def test_report_prints_the_trace_under_a_failure(capsys):
 
 def test_cli_import_does_not_load_scipy():
     # scipy belongs to the quadrature oracle alone, so the CLI starts without it;
-    # the value records are named tuples, so neither dataclasses nor inspect loads
+    # the value records are named tuples, so neither dataclasses nor inspect loads;
+    # the diagram generator, the check suites and json load in the commands that use them
     code = ("import singint.cli, sys; "
             "print(sorted(m for m in sys.modules "
-            "if m.split('.')[0] in ('scipy', 'dataclasses', 'inspect')))")
+            "if m.split('.')[0] in ('scipy', 'dataclasses', 'inspect', 'json') "
+            "or m in ('singint.wick', 'singint.verify')))")
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=env, check=True)

@@ -6,10 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import integrand_monomials, integrand_sums, merge_then_sort, value_polys
-from singint import (D0, ONE, RULE_VALUES, ZERO, IntegrandMonomial, IntegrandSum, ValuePoly,
-                     integrand_sum, mono, reduce)
-from singint.cli import parse
+from conftest import (integrand_monomials, integrand_sums, merge_then_sort, reducible_sums,
+                      value_polys)
+from singint import (D0, ONE, RULE_VALUES, ZERO, IntegrandMonomial, IntegrandSum, RuleError,
+                     ValuePoly, diagram_classes, integrand_sum, mono, order_contribution,
+                     reduce)
+from singint.cli import parse, render_sum
 from singint.integrand import local_value
 
 
@@ -254,3 +256,39 @@ def test_a_one_term_sum_equals_the_general_path(t):
     general = IntegrandSum(iter([t]))  # an iterator takes the merge-and-sort path
     for one in (IntegrandSum([t]), IntegrandSum((t,))):
         assert one.terms == general.terms == tuple(merge_then_sort([t]))
+
+
+def _assert_built_canonical(s):
+    # the parser and the rules build terms and sums from checked parts without
+    # the constructors; each must come out as the constructors would build it
+    for t in s:
+        assert all(type(k) is int and k >= 0 for k in t.shape)
+        assert type(t.coeff) is ValuePoly
+        assert t.coeff == ValuePoly(dict(t.coeff.items()))
+    assert s.terms == IntegrandSum(list(s)).terms
+
+
+@given(st.one_of(integrand_sums(max_terms=5), reducible_sums(max_terms=5)))
+@settings(max_examples=200, deadline=None)
+def test_parse_and_every_reduction_state_are_canonical(s):
+    parsed = parse(render_sum(s))
+    _assert_built_canonical(parsed)
+    try:
+        _, trace = reduce(parsed)
+    except RuleError:
+        return
+    for step in trace.steps:
+        _assert_built_canonical(step.before[1])
+        _assert_built_canonical(step.after[1])
+
+
+def test_parse_reduces_each_coefficient():
+    s = parse("2/4 D + 6 * 1/3 dD^2 - 4/6 w^-2 D delta + 0 D^2 + 3/9 D")
+    _assert_built_canonical(s)
+    assert s == integrand_sum(mono(0, 2, coeff=2), mono(1, coeff=Fraction(5, 6)),
+                              mono(1, 0, 0, 1, coeff=ValuePoly.monomial(Fraction(-2, 3), w=-2)))
+
+
+def test_order_contributions_are_canonical():
+    for order in (1, 2):
+        _assert_built_canonical(order_contribution(diagram_classes(order))[1])

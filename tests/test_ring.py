@@ -49,6 +49,32 @@ def test_exponents_and_powers_must_be_ints():
             base ** -1
 
 
+_BAD_TERMS = [
+    *[(bad, (0, 0, 0, 0)) for bad in (True, False, 0.5, "1")],
+    *[(1, exps) for bad in (True, 1.0, Fraction(1), "1")
+      for exps in ((bad, 0, 0, 0), (0, bad, 0, 0), (0, 0, bad, 0), (0, 0, 0, bad))],
+    *[(1, exps) for exps in ((0, -1, 0, 0), (0, 0, -2, 0), (3, 0, 0, -1))],
+]
+
+
+@pytest.mark.parametrize("coeff, exps", _BAD_TERMS)
+def test_monomial_refuses_what_the_constructor_refuses(coeff, exps):
+    with pytest.raises((TypeError, ValueError)) as direct:
+        ValuePoly({exps: coeff})
+    w, d0, a, g = exps
+    with pytest.raises(direct.type) as built:
+        ValuePoly.monomial(coeff, w=w, d0=d0, a=a, g=g)
+    assert type(built.value) is direct.type and str(built.value) == str(direct.value)
+
+
+@given(rationals(), st.integers(-4, 4), st.integers(0, 3), st.integers(0, 3), st.integers(0, 3))
+@settings(max_examples=100, deadline=None)
+def test_monomial_equals_the_constructor(coeff, w, d0, a, g):
+    built = ValuePoly.monomial(coeff, w=w, d0=d0, a=a, g=g)
+    assert built == ValuePoly({(w, d0, a, g): coeff})
+    _assert_canonical(built)
+
+
 def test_w_may_carry_any_integer_exponent():
     assert wpow(-5) * wpow(5) == ONE
     assert ValuePoly.monomial(1, w=-3).degree_in("w") == -3
